@@ -1,6 +1,7 @@
 // Package cli holds small helpers shared by the command-line tools: machine
-// resolution for the -machine flag (also reused by the numaiod server for
-// request bodies) and the exit-code contract every binary follows.
+// resolution for the -machine flag (also reused by the numaiod and numaiogw
+// daemons for request bodies) and the exit-code contract every binary
+// follows.
 package cli
 
 import (
@@ -11,6 +12,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
+	"sync"
 
 	"numaio/internal/topology"
 )
@@ -25,21 +28,76 @@ func Machine(nameOrPath string) (*topology.Machine, error) {
 
 // ResolveMachine resolves a machine from a JSON value that is either a
 // string (profile name or .json path, like the -machine flag) or an inline
-// machine object (the topology.EncodeJSON format). It is the resolution
-// the numaiod request bodies share with the command-line tools.
-func ResolveMachine(raw json.RawMessage) (*topology.Machine, error) {
+// machine object (the topology.EncodeJSON format), and returns it with its
+// topology.Fingerprint. It is the resolution the numaiod and numaiogw
+// request bodies share with the command-line tools.
+//
+// A profile name is a pure function of the name, so it is built and
+// fingerprinted once per process: every later call returns the same shared
+// machine, which callers must treat as read-only (Clone before mutating).
+// A .json path, whose file may change, and an inline object are resolved
+// and fingerprinted on every call.
+func ResolveMachine(raw json.RawMessage) (*topology.Machine, string, error) {
 	if len(raw) == 0 {
-		return Machine("")
+		return resolveName("")
 	}
 	var name string
 	if err := json.Unmarshal(raw, &name); err == nil {
-		return Machine(name)
+		return resolveName(name)
 	}
 	m, err := topology.DecodeJSON(bytes.NewReader(raw))
 	if err != nil {
-		return nil, fmt.Errorf("cli: machine must be a profile name or an inline machine object: %w", err)
+		return nil, "", fmt.Errorf("cli: machine must be a profile name or an inline machine object: %w", err)
 	}
-	return m, nil
+	return fingerprinted(m)
+}
+
+// resolvedProfile is one memoized profile resolution.
+type resolvedProfile struct {
+	m  *topology.Machine
+	fp string
+}
+
+// profiles maps a profile name to its *resolvedProfile. Only successful
+// resolutions are stored, so it holds at most one entry per name
+// topology.ProfileByName accepts, whatever names clients send.
+var profiles sync.Map
+
+// resolveName resolves a -machine style name: a .json path on every call,
+// a profile name once per process.
+func resolveName(name string) (*topology.Machine, string, error) {
+	if strings.HasSuffix(name, ".json") {
+		m, err := Machine(name)
+		if err != nil {
+			return nil, "", err
+		}
+		return fingerprinted(m)
+	}
+	if v, ok := profiles.Load(name); ok {
+		r := v.(*resolvedProfile)
+		return r.m, r.fp, nil
+	}
+	m, err := topology.ProfileByName(name)
+	if err != nil {
+		return nil, "", err
+	}
+	m, fp, err := fingerprinted(m)
+	if err != nil {
+		return nil, "", err
+	}
+	// A concurrent first resolution may have won; keep the stored one so
+	// every caller shares a single machine.
+	v, _ := profiles.LoadOrStore(name, &resolvedProfile{m: m, fp: fp})
+	r := v.(*resolvedProfile)
+	return r.m, r.fp, nil
+}
+
+func fingerprinted(m *topology.Machine) (*topology.Machine, string, error) {
+	fp, err := topology.Fingerprint(m)
+	if err != nil {
+		return nil, "", err
+	}
+	return m, fp, nil
 }
 
 // Exit-code contract for the cmd/* binaries:

@@ -137,11 +137,18 @@ type Allocation struct {
 // Rate returns the allocated rate of a flow (0 if unknown).
 func (a *Allocation) Rate(flowID string) units.Bandwidth { return a.Rates[flowID] }
 
-// Aggregate returns the sum of all allocated rates.
+// Aggregate returns the sum of all allocated rates, added in flow-ID order
+// so the same allocation always sums to the same bits (map order would
+// not).
 func (a *Allocation) Aggregate() units.Bandwidth {
+	ids := make([]string, 0, len(a.Rates))
+	for id := range a.Rates {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
 	var sum units.Bandwidth
-	for _, r := range a.Rates {
-		sum += r
+	for _, id := range ids {
+		sum += a.Rates[id]
 	}
 	return sum
 }

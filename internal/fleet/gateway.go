@@ -20,7 +20,6 @@ import (
 	"numaio/internal/cli"
 	"numaio/internal/resilience"
 	"numaio/internal/telemetry"
-	"numaio/internal/topology"
 	"numaio/internal/units"
 )
 
@@ -519,10 +518,11 @@ type shardRequest struct {
 }
 
 // shardKey resolves the fingerprint a request shards on: an explicit
-// fingerprint field wins; otherwise the machine (named profile or inline
-// object, empty meaning the default profile) is resolved and fingerprinted
-// — the same resolution the replicas themselves use, so the gateway and
-// the fleet always agree on identity.
+// fingerprint field wins; otherwise it is the fingerprint
+// cli.ResolveMachine returns for the machine (named profile, resolved once
+// per process, or inline object; empty meaning the default profile) — the
+// same resolution the replicas themselves use, so the gateway and the
+// fleet always agree on identity.
 func shardKey(body []byte) (string, error) {
 	var req shardRequest
 	if len(body) > 0 {
@@ -533,11 +533,8 @@ func shardKey(body []byte) (string, error) {
 	if req.Fingerprint != "" {
 		return req.Fingerprint, nil
 	}
-	m, err := cli.ResolveMachine(req.Machine)
-	if err != nil {
-		return "", err
-	}
-	return topology.Fingerprint(m)
+	_, fp, err := cli.ResolveMachine(req.Machine)
+	return fp, err
 }
 
 func (g *Gateway) handleModelGet(w http.ResponseWriter, r *http.Request) {

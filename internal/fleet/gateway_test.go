@@ -336,6 +336,45 @@ func TestShardKey(t *testing.T) {
 	}
 }
 
+// TestShardKeyMatchesReplicaFingerprint: for the fleet's profiles and an
+// inline machine, the key the gateway shards on is the fingerprint the
+// replica that serves the request reports, so both hops agree on identity.
+func TestShardKeyMatchesReplicaFingerprint(t *testing.T) {
+	tf := newTestFleet(t, 3, nil)
+	inline := topology.Intel4S4N()
+	if err := inline.DegradeLinkBetween("node0", "node3", 0.5); err != nil {
+		t.Fatal(err)
+	}
+	var buf strings.Builder
+	if err := inline.EncodeJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	machines := []string{`"dl585g7"`, `"magny-a"`, `"intel-4s4n"`, `"amd-4s8n"`, buf.String()}
+	for _, machine := range machines {
+		body := `{"machine": ` + machine + `, "config": {"repeats": 1, "sigma": -1}}`
+		key, err := shardKey([]byte(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := tf.do(t, http.MethodPost, "/v1/characterize", body, nil)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("characterize %.40s = %d: %s", machine, rec.Code, rec.Body)
+		}
+		var resp struct {
+			Fingerprint string `json:"fingerprint"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.Fingerprint != key {
+			t.Errorf("machine %.40s: shard key %s, replica fingerprint %s", machine, key, resp.Fingerprint)
+		}
+	}
+	if got := tf.gw.routed.Value(); got != int64(len(machines)) {
+		t.Errorf("routed = %d, want %d (every request to its key's owner)", got, len(machines))
+	}
+}
+
 // TestGatewayMetricsAndStatus: the metric families and the status endpoint
 // render the ring and membership state.
 func TestGatewayMetricsAndStatus(t *testing.T) {

@@ -417,6 +417,49 @@ func TestEstimateMemcpy(t *testing.T) {
 	}
 }
 
+// TestEstimateRepeatable pins Estimate to one value per placement: a cached
+// /v1/place answer must match a fresh one bit for bit, so the aggregate
+// cannot depend on map iteration order. It uses the daemon's default
+// characterization, whose class averages are not round numbers.
+func TestEstimateRepeatable(t *testing.T) {
+	sys, err := numa.NewSystem(topology.DL585G7())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := core.NewCharacterizer(sys, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mm, err := c.CharacterizeAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const calls = 50
+	for _, target := range sys.Machine().NodeIDs() {
+		s, err := FromMachineModel(sys, mm, target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []Policy{LocalOnly, HopDistance, RoundRobin, ClassBalanced} {
+			for tasks := 2; tasks <= 8; tasks++ {
+				placement, err := s.Place(device.EngineMemcpy, tasks, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				first, err := s.Estimate(device.EngineMemcpy, placement)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 1; i < calls; i++ {
+					if est, _ := s.Estimate(device.EngineMemcpy, placement); est != first {
+						t.Fatalf("target %d %v tasks %d: estimate %v then %v", target, p, tasks, first, est)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestEstimateErrors(t *testing.T) {
 	_, s := newScheduler(t)
 	if _, err := s.Estimate(device.EngineTCPSend, nil); err == nil {

@@ -85,7 +85,7 @@ func (s *Server) handleCharacterize(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	m, err := cli.ResolveMachine(req.Machine)
+	m, fp, err := cli.ResolveMachine(req.Machine)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -97,7 +97,7 @@ func (s *Server) handleCharacterize(w http.ResponseWriter, r *http.Request) {
 		snapshot := *job // the worker goroutine mutates job; respond with a copy
 		err := s.pool.Submit(func() {
 			s.jobs.SetState(job.ID, JobRunning, "", nil)
-			mm, fp, _, _, err := s.characterizeCached(context.Background(), m, cfg)
+			mm, _, _, err := s.characterizeCached(context.Background(), m, fp, cfg)
 			if err != nil {
 				s.jobs.SetState(job.ID, JobFailed, fp, err)
 				return
@@ -112,7 +112,7 @@ func (s *Server) handleCharacterize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	mm, fp, cached, stale, err := s.characterizeCached(r.Context(), m, cfg)
+	mm, cached, stale, err := s.characterizeCached(r.Context(), m, fp, cfg)
 	if err != nil {
 		writeError(w, errStatus(err), "characterization failed: %v", err)
 		return
@@ -177,11 +177,11 @@ func (s *Server) modelForRequest(ctx context.Context, fingerprint string, machin
 		}
 		return mm, 0, nil
 	}
-	m, err := cli.ResolveMachine(machine)
+	m, fp, err := cli.ResolveMachine(machine)
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
-	mm, _, _, _, err := s.characterizeCached(ctx, m, cfg)
+	mm, _, _, err := s.characterizeCached(ctx, m, fp, cfg)
 	if err != nil {
 		return nil, errStatus(err), err
 	}
@@ -488,12 +488,12 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 		writeJSONBytes(w, http.StatusOK, body)
 		return
 	}
-	m, err := cli.ResolveMachine(req.Machine)
+	m, fp, err := cli.ResolveMachine(req.Machine)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	mm, _, _, _, err := s.characterizeCached(r.Context(), m, cfg)
+	mm, _, _, err := s.characterizeCached(r.Context(), m, fp, cfg)
 	if err != nil {
 		writeError(w, errStatus(err), "%v", err)
 		return
@@ -652,11 +652,12 @@ func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "degrade list is empty: nothing to re-characterize")
 		return
 	}
-	base, err := cli.ResolveMachine(req.Machine)
+	base, beforeFP, err := cli.ResolveMachine(req.Machine)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	// base may be the process-wide shared profile machine: degrade a copy.
 	mutant := base.Clone()
 	for _, d := range req.Degrade {
 		if err := mutant.DegradeLinkBetween(d.A, d.B, d.Factor); err != nil {
@@ -664,13 +665,18 @@ func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	afterFP, err := topology.Fingerprint(mutant)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "%v", err)
+		return
+	}
 	cfg := req.Config.toCore()
-	beforeMM, beforeFP, _, _, err := s.characterizeCached(r.Context(), base, cfg)
+	beforeMM, _, _, err := s.characterizeCached(r.Context(), base, beforeFP, cfg)
 	if err != nil {
 		writeError(w, errStatus(err), "%v", err)
 		return
 	}
-	afterMM, afterFP, _, _, err := s.characterizeCached(r.Context(), mutant, cfg)
+	afterMM, _, _, err := s.characterizeCached(r.Context(), mutant, afterFP, cfg)
 	if err != nil {
 		writeError(w, errStatus(err), "%v", err)
 		return

@@ -499,17 +499,14 @@ func (s *Server) Metrics() *Metrics { return s.metrics }
 // termination.
 func (s *Server) Drain(ctx context.Context) error { return s.pool.Drain(ctx) }
 
-// characterizeCached resolves the machine's fingerprint and returns its
-// whole-host model, computing it at most once per (fingerprint, config)
-// across concurrent callers. The first bool reports a cache (or coalesced)
-// hit; the second reports a stale entry served because recomputation
-// failed or its circuit breaker is open (graceful degradation: the last
-// good model beats a 500).
-func (s *Server) characterizeCached(ctx context.Context, m *topology.Machine, cfg core.Config) (*core.MachineModel, string, bool, bool, error) {
-	fp, err := topology.Fingerprint(m)
-	if err != nil {
-		return nil, "", false, false, err
-	}
+// characterizeCached returns the whole-host model of machine m, whose
+// topology fingerprint fp the caller supplies (cli.ResolveMachine returns
+// it with the machine), computing it at most once per (fingerprint,
+// config) across concurrent callers. The first bool reports a cache (or
+// coalesced) hit; the second reports a stale entry served because
+// recomputation failed or its circuit breaker is open (graceful
+// degradation: the last good model beats a 500).
+func (s *Server) characterizeCached(ctx context.Context, m *topology.Machine, fp string, cfg core.Config) (*core.MachineModel, bool, bool, error) {
 	if cfg.Parallelism == 0 {
 		cfg.Parallelism = s.parallelism
 	}
@@ -523,9 +520,9 @@ func (s *Server) characterizeCached(ctx context.Context, m *topology.Machine, cf
 	if br != nil && !br.Allow() {
 		if mm, ok := s.cache.GetStale(key); ok {
 			s.metrics.ObserveStaleServed()
-			return mm, fp, true, true, nil
+			return mm, true, true, nil
 		}
-		return nil, fp, false, false, fmt.Errorf("%w: model %s", ErrCircuitOpen, fp)
+		return nil, false, false, fmt.Errorf("%w: model %s", ErrCircuitOpen, fp)
 	}
 
 	// Stage attribution: queue is the wait for a worker slot, solve the
@@ -585,11 +582,11 @@ func (s *Server) characterizeCached(ctx context.Context, m *topology.Machine, cf
 			s.log.Warn("serving stale model after failed recomputation",
 				"fingerprint", fp, "error", err)
 			s.metrics.ObserveStaleServed()
-			return mm, fp, true, true, nil
+			return mm, true, true, nil
 		}
-		return nil, fp, false, false, err
+		return nil, false, false, err
 	}
-	return mm, fp, cached, false, nil
+	return mm, cached, false, nil
 }
 
 // breakerFor returns the circuit breaker guarding one cache key, creating
