@@ -113,17 +113,16 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	})
 
 	// SIGQUIT dumps the flight recorder to stderr without stopping the
-	// daemon — the "what just happened" lever for a wedged process.
+	// daemon — the "what just happened" lever for a wedged process — under
+	// the same one-per-second limit as the automatic dumps.
 	quitc := make(chan os.Signal, 1)
 	signal.Notify(quitc, syscall.SIGQUIT)
 	defer signal.Stop(quitc)
 	go func() {
 		for range quitc {
-			fmt.Fprintln(os.Stderr, "numaiod flight recorder dump (SIGQUIT):")
 			if err := svc.DumpFlightRecorder(os.Stderr); err != nil {
 				fmt.Fprintln(os.Stderr, err)
 			}
-			fmt.Fprintln(os.Stderr)
 		}
 	}()
 

@@ -11,10 +11,7 @@ import (
 	"log/slog"
 	"net/http"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"numaio/internal/cli"
@@ -26,7 +23,7 @@ import (
 // RequestIDHeader carries the request ID from the gateway to the replica
 // (and back to the client), so one logical request is traceable across
 // hops in both sides' structured logs.
-const RequestIDHeader = "X-Request-Id"
+const RequestIDHeader = telemetry.RequestIDHeader
 
 // forwardedByHeader marks a request as arriving through the gateway.
 const forwardedByHeader = "X-Numaio-Gateway"
@@ -77,16 +74,14 @@ type Gateway struct {
 	replication int
 	hotAfter    int
 
-	// ridPrefix + ridSeq generate request IDs for requests arriving
-	// without one.
-	ridPrefix string
-	ridSeq    atomic.Uint64
+	// pipe is the request pipeline every route runs behind, the same one
+	// numaiod runs: it assigns request IDs to requests arriving without
+	// one, and owns the request metrics, /debug/trace and the flight
+	// recorder.
+	pipe *telemetry.Pipeline
 
-	// Metrics. requests counts by (endpoint, status) like numaiod's;
-	// forwards counts per replica; routed/proxied split forwards by
-	// whether they landed on the ring owner.
-	reqMu       sync.RWMutex
-	requests    map[string]*telemetry.IntCounterVec
+	// Metrics. forwards counts per replica; routed/proxied split forwards
+	// by whether they landed on the ring owner.
 	forwards    map[string]*telemetry.Counter
 	routed      telemetry.Counter
 	proxied     telemetry.Counter
@@ -94,19 +89,7 @@ type Gateway struct {
 	fleetPlaces telemetry.Counter
 	pulls       telemetry.Counter
 	pullErrors  telemetry.Counter
-	reqLat      *telemetry.BucketHistogram
 	registry    *telemetry.Registry
-
-	// traces owns the /debug/trace lifecycle, mirroring numaiod's, so a
-	// fleet-wide recording can include the gateway's own spans.
-	traces telemetry.TraceControl
-
-	// flight is the always-on flight recorder (nil when disabled);
-	// flightDump receives automatic dumps on gateway failures, rate-limited
-	// via lastFlightDump.
-	flight         *telemetry.FlightRecorder
-	flightDump     io.Writer
-	lastFlightDump atomic.Int64
 
 	// Hot-model tracking: routed requests per fingerprint, and the set
 	// already replicated so each fingerprint replicates once.
@@ -128,10 +111,6 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	if err != nil {
 		return nil, err
 	}
-	logger := cfg.Logger
-	if logger == nil {
-		logger = slog.New(slog.NewTextHandler(io.Discard, nil))
-	}
 	client := cfg.Client
 	if client == nil {
 		client = &http.Client{Timeout: 30 * time.Second}
@@ -148,30 +127,25 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	if _, err := rand.Read(pre[:]); err != nil {
 		return nil, err
 	}
-	var flight *telemetry.FlightRecorder
-	if cfg.FlightRecorderSize >= 0 {
-		size := cfg.FlightRecorderSize
-		if size == 0 {
-			size = 4096
-		}
-		flight = telemetry.NewFlightRecorder(size)
-	}
+	pipe := telemetry.NewPipeline(telemetry.PipelineConfig{
+		Daemon:             "numaiogw",
+		Logger:             cfg.Logger,
+		RequestIDPrefix:    "gw-" + hex.EncodeToString(pre[:]) + "-",
+		FlightRecorderSize: cfg.FlightRecorderSize,
+		FlightDump:         cfg.FlightDump,
+	})
 	g := &Gateway{
 		ring:        ring,
 		members:     NewMembership(cfg.Fleet.Replicas, cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Clock, client),
 		mux:         http.NewServeMux(),
-		log:         logger,
+		log:         pipe.Log(),
 		client:      client,
 		clock:       clock,
 		healthEvery: cfg.HealthInterval,
 		replication: cfg.Fleet.Replication,
 		hotAfter:    hot,
-		ridPrefix:   "gw-" + hex.EncodeToString(pre[:]) + "-",
-		requests:    make(map[string]*telemetry.IntCounterVec),
+		pipe:        pipe,
 		forwards:    make(map[string]*telemetry.Counter, len(names)),
-		reqLat:      telemetry.NewBucketHistogram(gatewayLatencyBuckets),
-		flight:      flight,
-		flightDump:  cfg.FlightDump,
 		hotCounts:   make(map[string]int),
 		replicated:  make(map[string]bool),
 	}
@@ -181,14 +155,14 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	// A breaker opening is exactly the moment the recent-history ring is
 	// for: leave a resilience breadcrumb and trigger the automatic dump.
 	g.members.OnBreakerOpen = func(name string) {
-		g.flight.Record(telemetry.FlightEvent{
+		g.pipe.Record(telemetry.FlightEvent{
 			Time:   time.Now().UnixNano(),
 			Name:   "breaker_open",
 			Cat:    "resilience",
 			Detail: "replica=" + name,
 		})
 		g.log.Warn("breaker open", "replica", name)
-		g.dumpFlight("breaker open on " + name)
+		g.pipe.DumpOnFailure("breaker open on " + name)
 	}
 	g.registry = g.newRegistry()
 	g.routes()
@@ -213,166 +187,30 @@ func (g *Gateway) Membership() *Membership { return g.members }
 func (g *Gateway) Ring() *Ring { return g.ring }
 
 func (g *Gateway) routes() {
-	g.handle("GET /healthz", "/healthz", g.handleHealthz)
-	g.handle("GET /metrics", "/metrics", g.handleMetrics)
-	g.handle("GET /v1/fleet/status", "/v1/fleet/status", g.handleFleetStatus)
-	g.handle("POST /v1/fleet/place", "/v1/fleet/place", g.handleFleetPlace)
-	g.handle("GET /v1/models/{fingerprint}", "/v1/models", g.handleModelGet)
+	g.pipe.Handle(g.mux, "GET /healthz", g.handleHealthz)
+	g.pipe.Handle(g.mux, "GET /metrics", g.registry.ServeHTTP)
+	g.pipe.Handle(g.mux, "GET /v1/fleet/status", g.handleFleetStatus)
+	g.pipe.Handle(g.mux, "POST /v1/fleet/place", g.handleFleetPlace)
+	g.pipe.Handle(g.mux, "GET /v1/models/{fingerprint}", g.handleModelGet)
 	for _, ep := range []string{
 		"/v1/characterize", "/v1/predict", "/v1/predict/batch", "/v1/place", "/v1/whatif",
 	} {
 		ep := ep
-		g.handle("POST "+ep, ep, func(w http.ResponseWriter, r *http.Request) {
+		g.pipe.Handle(g.mux, "POST "+ep, func(w http.ResponseWriter, r *http.Request) {
 			g.shardProxy(w, r, ep, "")
 		})
 	}
-	g.handle("POST /debug/trace/start", "/debug/trace/start", g.handleTraceStart)
-	g.handle("POST /debug/trace/stop", "/debug/trace/stop", g.handleTraceStop)
-	g.handle("GET /debug/trace", "/debug/trace", g.handleTraceDownload)
-	g.handle("GET /debug/flightrecorder", "/debug/flightrecorder", g.handleFlightRecorder)
+	g.pipe.DebugRoutes(g.mux)
 }
 
-// gatewayLatencyBuckets cover a proxied hop: forward latency dominates, so
-// the range matches numaiod's request buckets.
-var gatewayLatencyBuckets = []float64{0.0001, 0.0005, 0.001, 0.005, 0.025, 0.1, 0.5, 1, 5}
-
-// handle registers a pattern under the logging/metrics middleware, like
-// numaiod's. Every response carries the request ID (incoming or freshly
-// assigned) so clients can correlate, plus the trace context the gateway
-// minted (or derived as a child of the caller's) — the same context it
-// forwards to replicas, so one trace ID spans the whole proxied chain. v1
-// endpoints additionally report the gateway's own stage breakdown (route,
-// forward, failover) via Server-Timing alongside the replica's, feed the
-// latency histogram with request-ID exemplars, and leave a flight-recorder
-// event.
-func (g *Gateway) handle(pattern, endpoint string, h http.HandlerFunc) {
-	isV1 := strings.HasPrefix(endpoint, "/v1/")
-	g.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		rid := r.Header.Get(RequestIDHeader)
-		if rid == "" {
-			rid = g.ridPrefix + strconv.FormatUint(g.ridSeq.Add(1), 10)
-			r.Header.Set(RequestIDHeader, rid)
-		}
-		w.Header().Set(RequestIDHeader, rid)
-		var tc telemetry.TraceContext
-		if in, ok := telemetry.ParseTraceContext(r.Header.Get(telemetry.TraceCtxHeader)); ok {
-			tc = in.Child()
-		} else {
-			tc = telemetry.NewTraceContext()
-		}
-		w.Header().Set(telemetry.TraceCtxHeader, tc.String())
-		r = r.WithContext(telemetry.ContextWithTrace(r.Context(), tc))
-		rec := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		if isV1 {
-			rec.stages = telemetry.NewStages()
-			r = r.WithContext(telemetry.ContextWithStages(r.Context(), rec.stages))
-		}
-		var span *telemetry.Span
-		if tr := g.traces.Active(); tr != nil {
-			span = tr.StartSpan(endpoint, "http",
-				telemetry.String("method", r.Method),
-				telemetry.String("trace_id", tc.TraceID),
-				telemetry.String("span_id", tc.SpanID))
-		}
-		h(rec, r)
-		if span != nil {
-			span.SetAttr(telemetry.Int("status", rec.status))
-			span.End()
-		}
-		elapsed := time.Since(start)
-		g.observeRequest(endpoint, rec.status)
-		if isV1 {
-			g.reqLat.ObserveExemplar(elapsed.Seconds(), rid)
-			g.flight.Record(telemetry.FlightEvent{
-				Time:    start.UnixNano(),
-				Dur:     elapsed,
-				Status:  rec.status,
-				Name:    endpoint,
-				Cat:     "http",
-				RID:     rid,
-				TraceID: tc.TraceID,
-			})
-			if rec.status >= http.StatusInternalServerError {
-				g.dumpFlight(fmt.Sprintf("status %d on %s", rec.status, endpoint))
-			}
-		}
-		attrs := []any{
-			"method", r.Method,
-			"path", r.URL.Path,
-			"status", rec.status,
-			"duration", elapsed,
-			"request_id", rid,
-			"remote", r.RemoteAddr,
-			"trace_id", tc.TraceID,
-		}
-		attrs = rec.stages.AppendLogAttrs(attrs)
-		g.log.Info("request", attrs...)
-	})
-}
-
-// statusWriter captures the response status and injects the gateway's own
-// stage breakdown as an additional Server-Timing value at WriteHeader time
-// — replica-reported stages pass through as their own header line, so the
-// client sees both hops' attributions.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-	stages *telemetry.Stages
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if st := w.stages.Header(); st != "" {
-		w.ResponseWriter.Header().Add("Server-Timing", st)
-	}
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// dumpFlight writes one flight-recorder dump to the configured FlightDump
-// writer, rate-limited to one per second.
-func (g *Gateway) dumpFlight(reason string) {
-	if g.flightDump == nil || g.flight == nil {
-		return
-	}
-	now := time.Now().UnixNano()
-	last := g.lastFlightDump.Load()
-	if now-last < int64(time.Second) || !g.lastFlightDump.CompareAndSwap(last, now) {
-		return
-	}
-	fmt.Fprintf(g.flightDump, "numaiogw flight recorder dump (%s):\n", reason)
-	_ = g.flight.WriteJSON(g.flightDump)
-	fmt.Fprintln(g.flightDump)
-}
-
-// DumpFlightRecorder writes the flight recorder's JSON snapshot to w —
-// cmd/numaiogw wires it to SIGQUIT. It reports an error when the recorder
-// is disabled.
-func (g *Gateway) DumpFlightRecorder(w io.Writer) error {
-	if g.flight == nil {
-		return fmt.Errorf("fleet: flight recorder disabled")
-	}
-	return g.flight.WriteJSON(w)
-}
+// DumpFlightRecorder writes one flight-recorder dump to w — cmd/numaiogw
+// wires it to SIGQUIT. It reports an error when the recorder is disabled
+// or another dump was written less than a second ago.
+func (g *Gateway) DumpFlightRecorder(w io.Writer) error { return g.pipe.Dump(w, "SIGQUIT") }
 
 // WriteMetrics renders the gateway's /metrics payload. Exported so tests
 // can pin the exposition format without an HTTP round trip.
 func (g *Gateway) WriteMetrics(w io.Writer) { g.registry.Render(w) }
-
-func (g *Gateway) observeRequest(endpoint string, status int) {
-	g.reqMu.RLock()
-	vec, ok := g.requests[endpoint]
-	g.reqMu.RUnlock()
-	if !ok {
-		g.reqMu.Lock()
-		if vec, ok = g.requests[endpoint]; !ok {
-			vec = telemetry.NewIntCounterVec()
-			g.requests[endpoint] = vec
-		}
-		g.reqMu.Unlock()
-	}
-	vec.With(status).Inc()
-}
 
 func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	avail, _ := g.members.Counts()
@@ -383,11 +221,6 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	fmt.Fprintf(w, "ok %d/%d replicas available\n", avail, g.ring.Len())
-}
-
-func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	g.WriteMetrics(w)
 }
 
 // newRegistry wires the gateway gauge/counter families. Sample order is
@@ -446,66 +279,10 @@ func (g *Gateway) newRegistry() *telemetry.Registry {
 			defer g.hotMu.Unlock()
 			return int64(len(g.replicated))
 		})
-	r.IntGaugeFunc("numaiogw_trace_active",
-		"Whether a /debug/trace recording is in progress.",
-		func() int64 {
-			if g.traces.Tracing() {
-				return 1
-			}
-			return 0
-		})
-	r.IntGaugeFunc("numaiogw_trace_events",
-		"Events recorded by the active (or last stopped) trace.",
-		func() int64 { return int64(g.traces.Current().Len()) })
-	r.IntGaugeFunc("numaiogw_flight_events",
-		"Events currently retained by the always-on flight recorder.",
-		func() int64 { return int64(g.flight.Len()) })
-	r.Register(telemetry.Series{
-		Name: "numaiogw_request_seconds",
-		Type: "histogram",
-		Help: "v1 request latency through the gateway, with the last request ID per bucket as an exemplar.",
-		Collect: func(w io.Writer) {
-			counts := g.reqLat.Counts()
-			bounds := g.reqLat.Bounds()
-			var cum int64
-			writeBucket := func(le string, i int) {
-				fmt.Fprintf(w, "numaiogw_request_seconds_bucket{le=%q} %d", le, cum)
-				if ex := g.reqLat.Exemplar(i); ex != "" {
-					fmt.Fprintf(w, " # {request_id=%q}", ex)
-				}
-				fmt.Fprintln(w)
-			}
-			for i, le := range bounds {
-				cum += counts[i]
-				writeBucket(strconv.FormatFloat(le, 'g', -1, 64), i)
-			}
-			cum += counts[len(bounds)]
-			writeBucket("+Inf", len(bounds))
-			fmt.Fprintf(w, "numaiogw_request_seconds_sum %g\n", g.reqLat.Sum())
-			fmt.Fprintf(w, "numaiogw_request_seconds_count %d\n", g.reqLat.Total())
-		},
-	})
-	r.Register(telemetry.Series{
-		Name: "numaiogw_requests_total", Type: "counter",
-		Help: "Gateway requests served, by endpoint and status.",
-		Collect: func(w io.Writer) {
-			g.reqMu.RLock()
-			endpoints := make([]string, 0, len(g.requests))
-			for e := range g.requests {
-				endpoints = append(endpoints, e)
-			}
-			vecs := make(map[string]*telemetry.IntCounterVec, len(endpoints))
-			for _, e := range endpoints {
-				vecs[e] = g.requests[e]
-			}
-			g.reqMu.RUnlock()
-			sort.Strings(endpoints)
-			for _, e := range endpoints {
-				for _, s := range vecs[e].Keys() {
-					fmt.Fprintf(w, "numaiogw_requests_total{endpoint=%q,status=\"%d\"} %d\n", e, s, vecs[e].Value(s))
-				}
-			}
-		}})
+	g.pipe.RegisterSeries(r,
+		"v1 request latency through the gateway, with the last request ID per bucket as an exemplar.")
+	r.EndpointSeries("numaiogw_requests_total",
+		"Gateway requests served, by endpoint and status.", g.pipe.Requests())
 	return r
 }
 
@@ -550,13 +327,13 @@ func (g *Gateway) shardProxy(w http.ResponseWriter, r *http.Request, endpoint, k
 	routeStart := time.Now()
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
-		writeGatewayError(w, http.StatusBadRequest, "reading body: %v", err)
+		telemetry.WriteError(w, http.StatusBadRequest, "reading body: %v", err)
 		return
 	}
 	if key == "" {
 		key, err = shardKey(body)
 		if err != nil {
-			writeGatewayError(w, http.StatusBadRequest, "%v", err)
+			telemetry.WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 	}
@@ -606,7 +383,7 @@ func (g *Gateway) shardProxy(w http.ResponseWriter, r *http.Request, endpoint, k
 			w.Header().Set("Content-Type", ct)
 		}
 		// The replica's own stage breakdown passes through as additional
-		// Server-Timing values; the statusWriter adds the gateway's on
+		// Server-Timing values; the pipeline adds the gateway's on
 		// WriteHeader, so the client sees both hops' attributions.
 		for _, st := range resp.Header.Values("Server-Timing") {
 			w.Header().Add("Server-Timing", st)
@@ -669,8 +446,29 @@ func (g *Gateway) shardProxy(w http.ResponseWriter, r *http.Request, endpoint, k
 			return
 		}
 	}
-	writeGatewayError(w, http.StatusBadGateway,
+	telemetry.WriteError(w, http.StatusBadGateway,
 		"no replica could serve %s for key %s (%d replicas tried)", endpoint, key, len(order))
+}
+
+// recordFailover leaves a flight-recorder event (and a trace instant, when
+// recording) for one failed forward attempt — the breadcrumb trail a
+// kill-owner incident leaves behind.
+func (g *Gateway) recordFailover(endpoint, replica, rid string, ctx context.Context) {
+	var traceID string
+	if tc, ok := telemetry.TraceFromContext(ctx); ok {
+		traceID = tc.TraceID
+	}
+	g.pipe.Record(telemetry.FlightEvent{
+		Time:    time.Now().UnixNano(),
+		Name:    "failover",
+		Cat:     "resilience",
+		RID:     rid,
+		TraceID: traceID,
+		Detail:  "endpoint=" + endpoint + " replica=" + replica,
+	})
+	g.pipe.Tracer().Instant("failover", "resilience",
+		telemetry.String("endpoint", endpoint),
+		telemetry.String("replica", replica))
 }
 
 // noteHot counts one served request for a fingerprint and, on crossing the
@@ -771,7 +569,7 @@ func (g *Gateway) handleFleetStatus(w http.ResponseWriter, r *http.Request) {
 			Breaker:   g.members.BreakerState(rep.Name).String(),
 		})
 	}
-	writeGatewayJSON(w, http.StatusOK, st)
+	telemetry.WriteJSON(w, http.StatusOK, st)
 }
 
 // fleetPlaceRequest is the POST /v1/fleet/place body: the paper's
@@ -826,7 +624,7 @@ func (g *Gateway) handleFleetPlace(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeGatewayError(w, http.StatusBadRequest, "invalid JSON body: %v", err)
+		telemetry.WriteError(w, http.StatusBadRequest, "invalid JSON body: %v", err)
 		return
 	}
 	tasks := req.Tasks
@@ -851,7 +649,7 @@ func (g *Gateway) handleFleetPlace(w http.ResponseWriter, r *http.Request) {
 	}
 	body, err := json.Marshal(placeBody)
 	if err != nil {
-		writeGatewayError(w, http.StatusInternalServerError, "%v", err)
+		telemetry.WriteError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	rid := r.Header.Get(RequestIDHeader)
@@ -897,7 +695,7 @@ func (g *Gateway) handleFleetPlace(w http.ResponseWriter, r *http.Request) {
 	}
 	resp.Degraded = resp.Responses < len(replicas)
 	if best < 0 {
-		writeGatewayError(w, http.StatusBadGateway,
+		telemetry.WriteError(w, http.StatusBadGateway,
 			"no replica answered the fleet placement (%d configured, %d asked)", len(replicas), asked)
 		return
 	}
@@ -912,7 +710,7 @@ func (g *Gateway) handleFleetPlace(w http.ResponseWriter, r *http.Request) {
 	resp.Placement = resp.PerHost[best].Placement
 	resp.PredictedBPS = resp.PerHost[best].PredictedBPS
 	resp.PredictedGbps = units.Bandwidth(resp.PredictedBPS).Gbps()
-	writeGatewayJSON(w, http.StatusOK, resp)
+	telemetry.WriteJSON(w, http.StatusOK, resp)
 }
 
 // placeOnReplica runs one replica's /v1/place leg of the fan-out.
@@ -959,24 +757,4 @@ func (g *Gateway) placeOnReplica(ctx context.Context, rep Replica, body []byte, 
 	hp.Placement = pr.Results[0].Placement
 	hp.PredictedBPS = pr.Results[0].EstimateBPS
 	return hp, pr.Fingerprint
-}
-
-type gatewayError struct {
-	Error string `json:"error"`
-}
-
-func writeGatewayError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeGatewayJSON(w, status, gatewayError{Error: fmt.Sprintf(format, args...)})
-}
-
-func writeGatewayJSON(w http.ResponseWriter, status int, v any) {
-	buf, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(buf)
-	w.Write([]byte("\n"))
 }

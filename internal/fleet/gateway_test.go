@@ -97,7 +97,7 @@ func TestGatewayRoutesToOwner(t *testing.T) {
 		if name == owner {
 			want = 1
 		}
-		if got := svc.Metrics().RequestCount("/v1/predict"); got != want {
+		if got := svc.RequestCount("/v1/predict"); got != want {
 			t.Errorf("replica %s saw %d predicts, want %d (owner %s)", name, got, want, owner)
 		}
 	}
@@ -125,7 +125,7 @@ func TestGatewayFailoverProxies(t *testing.T) {
 	}
 	// The successor, not some arbitrary replica, absorbed the key.
 	successor := tf.gw.Ring().Owners(fingerprintOf(t, "intel-4s4n"), 2)[1]
-	if got := tf.services[successor].Metrics().RequestCount("/v1/predict"); got != 1 {
+	if got := tf.services[successor].RequestCount("/v1/predict"); got != 1 {
 		t.Errorf("ring successor %s saw %d predicts, want 1", successor, got)
 	}
 }

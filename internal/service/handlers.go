@@ -54,14 +54,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "ok")
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	// WriteMetrics renders the historical block first, then the additive
-	// series (solver, pool, occupancy, trace and flight state) — so the
-	// historical bytes, and every scraper grep, stay untouched.
-	s.WriteMetrics(w)
-}
-
 type characterizeRequest struct {
 	Machine json.RawMessage `json:"machine,omitempty"`
 	Config  *configJSON     `json:"config,omitempty"`

@@ -3,204 +3,92 @@ package service
 import (
 	"fmt"
 	"io"
-	"sort"
-	"sync"
-	"time"
 
+	"numaio/internal/core"
+	"numaio/internal/fabric"
 	"numaio/internal/telemetry"
 )
 
-// Metrics is the daemon's request-path metric state, built on the
-// telemetry package's sharded atomic primitives: request counting and
-// latency observation take no global lock, so the serving fast lane never
-// serializes on a metrics mutex. WriteTo renders the historical
-// Prometheus-style text byte-for-byte — every pre-existing metric name and
-// ordering is preserved (serve-smoke greps and scrapers depend on it).
-type Metrics struct {
-	// requests maps endpoint -> per-status counters. The endpoint set is
-	// tiny and fixed after startup, so lookups take a read lock and the
-	// per-status increment is a sharded atomic add.
-	epMu     sync.RWMutex
-	requests map[string]*telemetry.IntCounterVec
+// newRegistry registers every /metrics family. Families render in
+// registration order, which is the historical order scrapers and the
+// smoke greps depend on: request and cache series first, then the solver,
+// pool, occupancy, trace and flight-recorder series.
+func (s *Server) newRegistry() *telemetry.Registry {
+	r := telemetry.NewRegistry()
+	r.EndpointSeries("numaiod_requests_total",
+		"Requests served, by endpoint and status.", s.pipe.Requests())
+	r.HistogramSeries("numaiod_characterize_seconds",
+		"Wall time of Algorithm 1 characterizations.", s.charLatency)
+	r.IntGaugeFunc("numaiod_characterize_parallelism",
+		"Configured measurement worker-pool width.",
+		func() int64 { return int64(s.parallelism) })
+	r.Register(telemetry.Series{
+		Name: "numaiod_model_cache", Type: "counter", Help: "Model cache activity.",
+		Collect: func(w io.Writer) {
+			st := s.cache.Stats()
+			fmt.Fprintf(w, "numaiod_model_cache{event=\"hit\"} %d\n", st.Hits)
+			fmt.Fprintf(w, "numaiod_model_cache{event=\"miss\"} %d\n", st.Misses)
+			fmt.Fprintf(w, "numaiod_model_cache{event=\"coalesced\"} %d\n", st.Coalesced)
+			fmt.Fprintf(w, "numaiod_model_cache{event=\"eviction\"} %d\n", st.Evictions)
+		}})
+	r.IntGaugeFunc("numaiod_model_cache_entries", "Live model cache entries.",
+		func() int64 { return int64(s.cache.Stats().Entries) })
+	r.IntCounterFunc("numaiod_predict_cache_hits_total",
+		"Predict responses served from the response cache.",
+		func() int64 { return s.predictCache.Stats().Hits })
+	r.IntCounterFunc("numaiod_predict_cache_misses_total",
+		"Predict requests that missed the response cache.",
+		func() int64 { return s.predictCache.Stats().Misses })
+	r.IntGaugeFunc("numaiod_predict_cache_entries",
+		"Rendered predict responses currently cached.",
+		func() int64 { return int64(s.predictCache.Stats().Entries) })
+	r.IntCounterFunc("numaiod_place_cache_hits_total",
+		"Place responses served from the response cache.",
+		func() int64 { return s.placeCache.Stats().Hits })
+	r.IntCounterFunc("numaiod_place_cache_misses_total",
+		"Place requests that missed the response cache.",
+		func() int64 { return s.placeCache.Stats().Misses })
+	r.IntGaugeFunc("numaiod_place_cache_entries",
+		"Rendered place responses currently cached.",
+		func() int64 { return int64(s.placeCache.Stats().Entries) })
+	r.IntGaugeFunc("numaiod_inflight_jobs",
+		"Characterizations currently holding a worker slot.", s.pool.InFlight)
+	r.CounterSeries("numaiod_characterize_retries_total",
+		"Characterization attempts retried after a failure.", &s.charRetries)
+	r.CounterSeries("numaiod_stale_served_total",
+		"Responses served from an expired cache entry after a failed recomputation.", &s.staleServed)
+	r.IntGaugeFunc("numaiod_stale_models", "Expired models retained as stale fallbacks.",
+		func() int64 { return int64(s.cache.Stats().Stale) })
+	r.IntGaugeFunc("numaiod_breaker_open", "Characterization circuit breakers currently open.",
+		func() int64 { return int64(s.openBreakers()) })
 
-	// lat is the characterization latency histogram (seconds).
-	lat *telemetry.BucketHistogram
-
-	// reqLat is the whole-request (v1 endpoints) latency histogram, with
-	// the last request ID per bucket kept as an exemplar so a slow bucket
-	// in /metrics links to a concrete request in the flight recorder.
-	reqLat *telemetry.BucketHistogram
-
-	// parallelism is the daemon's configured measurement worker-pool
-	// width, exported as a gauge so latency shifts can be correlated with
-	// the setting.
-	parallelism telemetry.Gauge
-
-	// Resilience counters: characterization attempts retried after a
-	// failure, and responses served from an expired cache entry because
-	// recomputation failed (or its breaker was open).
-	charRetries telemetry.Counter
-	staleServed telemetry.Counter
-}
-
-// defaultLatencyBuckets cover sub-millisecond simulated runs up to
-// multi-second whole-host characterizations.
-var defaultLatencyBuckets = []float64{0.001, 0.005, 0.025, 0.1, 0.5, 1, 2.5, 5, 10, 30}
-
-// requestLatencyBuckets cover cache-hit responses (tens of microseconds)
-// up to characterize-on-miss requests.
-var requestLatencyBuckets = []float64{0.0001, 0.0005, 0.001, 0.005, 0.025, 0.1, 0.5, 1, 5}
-
-// NewMetrics builds an empty registry.
-func NewMetrics() *Metrics {
-	return &Metrics{
-		requests: make(map[string]*telemetry.IntCounterVec),
-		lat:      telemetry.NewBucketHistogram(defaultLatencyBuckets),
-		reqLat:   telemetry.NewBucketHistogram(requestLatencyBuckets),
-	}
-}
-
-// SetParallelism records the daemon's measurement worker-pool width.
-func (m *Metrics) SetParallelism(p int) { m.parallelism.Set(int64(p)) }
-
-// ObserveCharacterizeRetry counts one retried characterization attempt.
-func (m *Metrics) ObserveCharacterizeRetry() { m.charRetries.Inc() }
-
-// ObserveStaleServed counts one response served from a stale model.
-func (m *Metrics) ObserveStaleServed() { m.staleServed.Inc() }
-
-// StaleServed returns the stale-response counter (tests).
-func (m *Metrics) StaleServed() int64 { return m.staleServed.Value() }
-
-// ObserveRequest counts one served request. The hot path — an endpoint
-// seen before — is a read-locked map lookup plus an atomic increment.
-func (m *Metrics) ObserveRequest(endpoint string, status int) {
-	m.epMu.RLock()
-	vec, ok := m.requests[endpoint]
-	m.epMu.RUnlock()
-	if !ok {
-		m.epMu.Lock()
-		if vec, ok = m.requests[endpoint]; !ok {
-			vec = telemetry.NewIntCounterVec()
-			m.requests[endpoint] = vec
-		}
-		m.epMu.Unlock()
-	}
-	vec.With(status).Inc()
-}
-
-// ObserveCharacterization records one Algorithm 1 run's wall time.
-func (m *Metrics) ObserveCharacterization(d time.Duration) {
-	m.lat.Observe(d.Seconds())
-}
-
-// ObserveRequestLatency records one v1 request's wall time in seconds,
-// keeping rid as the bucket's exemplar.
-func (m *Metrics) ObserveRequestLatency(seconds float64, rid string) {
-	m.reqLat.ObserveExemplar(seconds, rid)
-}
-
-// RequestLatency returns the v1 request latency histogram for rendering.
-func (m *Metrics) RequestLatency() *telemetry.BucketHistogram { return m.reqLat }
-
-// RequestCount returns the total requests seen for an endpoint (all
-// statuses); handy for tests.
-func (m *Metrics) RequestCount(endpoint string) int64 {
-	m.epMu.RLock()
-	vec := m.requests[endpoint]
-	m.epMu.RUnlock()
-	if vec == nil {
-		return 0
-	}
-	var total int64
-	for _, s := range vec.Keys() {
-		total += vec.Value(s)
-	}
-	return total
-}
-
-// WriteTo renders the registry (plus the supplied cache, job and breaker
-// gauges) in the Prometheus text exposition format.
-func (m *Metrics) WriteTo(w io.Writer, cache CacheStats, predict, place RespCacheStats, inflightJobs int64, openBreakers int) {
-	fmt.Fprintln(w, "# HELP numaiod_requests_total Requests served, by endpoint and status.")
-	fmt.Fprintln(w, "# TYPE numaiod_requests_total counter")
-	m.epMu.RLock()
-	endpoints := make([]string, 0, len(m.requests))
-	for e := range m.requests {
-		endpoints = append(endpoints, e)
-	}
-	vecs := make(map[string]*telemetry.IntCounterVec, len(endpoints))
-	for _, e := range endpoints {
-		vecs[e] = m.requests[e]
-	}
-	m.epMu.RUnlock()
-	sort.Strings(endpoints)
-	for _, e := range endpoints {
-		for _, s := range vecs[e].Keys() {
-			fmt.Fprintf(w, "numaiod_requests_total{endpoint=%q,status=\"%d\"} %d\n", e, s, vecs[e].Value(s))
-		}
-	}
-
-	fmt.Fprintln(w, "# HELP numaiod_characterize_seconds Wall time of Algorithm 1 characterizations.")
-	fmt.Fprintln(w, "# TYPE numaiod_characterize_seconds histogram")
-	counts := m.lat.Counts()
-	bounds := m.lat.Bounds()
-	var cum int64
-	for i, le := range bounds {
-		cum += counts[i]
-		fmt.Fprintf(w, "numaiod_characterize_seconds_bucket{le=\"%g\"} %d\n", le, cum)
-	}
-	cum += counts[len(bounds)]
-	fmt.Fprintf(w, "numaiod_characterize_seconds_bucket{le=\"+Inf\"} %d\n", cum)
-	fmt.Fprintf(w, "numaiod_characterize_seconds_sum %g\n", m.lat.Sum())
-	fmt.Fprintf(w, "numaiod_characterize_seconds_count %d\n", m.lat.Total())
-
-	fmt.Fprintln(w, "# HELP numaiod_characterize_parallelism Configured measurement worker-pool width.")
-	fmt.Fprintln(w, "# TYPE numaiod_characterize_parallelism gauge")
-	fmt.Fprintf(w, "numaiod_characterize_parallelism %d\n", m.parallelism.Value())
-
-	fmt.Fprintln(w, "# HELP numaiod_model_cache Model cache activity.")
-	fmt.Fprintln(w, "# TYPE numaiod_model_cache counter")
-	fmt.Fprintf(w, "numaiod_model_cache{event=\"hit\"} %d\n", cache.Hits)
-	fmt.Fprintf(w, "numaiod_model_cache{event=\"miss\"} %d\n", cache.Misses)
-	fmt.Fprintf(w, "numaiod_model_cache{event=\"coalesced\"} %d\n", cache.Coalesced)
-	fmt.Fprintf(w, "numaiod_model_cache{event=\"eviction\"} %d\n", cache.Evictions)
-	fmt.Fprintln(w, "# HELP numaiod_model_cache_entries Live model cache entries.")
-	fmt.Fprintln(w, "# TYPE numaiod_model_cache_entries gauge")
-	fmt.Fprintf(w, "numaiod_model_cache_entries %d\n", cache.Entries)
-
-	fmt.Fprintln(w, "# HELP numaiod_predict_cache_hits_total Predict responses served from the response cache.")
-	fmt.Fprintln(w, "# TYPE numaiod_predict_cache_hits_total counter")
-	fmt.Fprintf(w, "numaiod_predict_cache_hits_total %d\n", predict.Hits)
-	fmt.Fprintln(w, "# HELP numaiod_predict_cache_misses_total Predict requests that missed the response cache.")
-	fmt.Fprintln(w, "# TYPE numaiod_predict_cache_misses_total counter")
-	fmt.Fprintf(w, "numaiod_predict_cache_misses_total %d\n", predict.Misses)
-	fmt.Fprintln(w, "# HELP numaiod_predict_cache_entries Rendered predict responses currently cached.")
-	fmt.Fprintln(w, "# TYPE numaiod_predict_cache_entries gauge")
-	fmt.Fprintf(w, "numaiod_predict_cache_entries %d\n", predict.Entries)
-	fmt.Fprintln(w, "# HELP numaiod_place_cache_hits_total Place responses served from the response cache.")
-	fmt.Fprintln(w, "# TYPE numaiod_place_cache_hits_total counter")
-	fmt.Fprintf(w, "numaiod_place_cache_hits_total %d\n", place.Hits)
-	fmt.Fprintln(w, "# HELP numaiod_place_cache_misses_total Place requests that missed the response cache.")
-	fmt.Fprintln(w, "# TYPE numaiod_place_cache_misses_total counter")
-	fmt.Fprintf(w, "numaiod_place_cache_misses_total %d\n", place.Misses)
-	fmt.Fprintln(w, "# HELP numaiod_place_cache_entries Rendered place responses currently cached.")
-	fmt.Fprintln(w, "# TYPE numaiod_place_cache_entries gauge")
-	fmt.Fprintf(w, "numaiod_place_cache_entries %d\n", place.Entries)
-	fmt.Fprintln(w, "# HELP numaiod_inflight_jobs Characterizations currently holding a worker slot.")
-	fmt.Fprintln(w, "# TYPE numaiod_inflight_jobs gauge")
-	fmt.Fprintf(w, "numaiod_inflight_jobs %d\n", inflightJobs)
-
-	fmt.Fprintln(w, "# HELP numaiod_characterize_retries_total Characterization attempts retried after a failure.")
-	fmt.Fprintln(w, "# TYPE numaiod_characterize_retries_total counter")
-	fmt.Fprintf(w, "numaiod_characterize_retries_total %d\n", m.charRetries.Value())
-	fmt.Fprintln(w, "# HELP numaiod_stale_served_total Responses served from an expired cache entry after a failed recomputation.")
-	fmt.Fprintln(w, "# TYPE numaiod_stale_served_total counter")
-	fmt.Fprintf(w, "numaiod_stale_served_total %d\n", m.staleServed.Value())
-	fmt.Fprintln(w, "# HELP numaiod_stale_models Expired models retained as stale fallbacks.")
-	fmt.Fprintln(w, "# TYPE numaiod_stale_models gauge")
-	fmt.Fprintf(w, "numaiod_stale_models %d\n", cache.Stale)
-	fmt.Fprintln(w, "# HELP numaiod_breaker_open Characterization circuit breakers currently open.")
-	fmt.Fprintln(w, "# TYPE numaiod_breaker_open gauge")
-	fmt.Fprintf(w, "numaiod_breaker_open %d\n", openBreakers)
+	r.IntCounterFunc("numaiod_solver_solves_total",
+		"Successful fabric solver passes (water-filling allocations).",
+		func() int64 { return fabric.ReadStats().Solves })
+	r.FloatCounterFunc("numaiod_solver_solve_seconds_total",
+		"Total wall time spent in fabric solver passes.",
+		func() float64 { return float64(fabric.ReadStats().SolveNanos) / 1e9 })
+	r.IntCounterFunc("numaiod_solver_resets_total",
+		"Solver flow-set resets (fluid-session reuse between runs).",
+		func() int64 { return fabric.ReadStats().Resets })
+	r.IntCounterFunc("numaiod_solver_incremental_total",
+		"Solver passes served from converged state (dirty components only).",
+		func() int64 { return fabric.ReadStats().IncrementalSolves })
+	r.IntCounterFunc("numaiod_solver_full_total",
+		"Solver passes that re-leveled every flow from scratch.",
+		func() int64 { return fabric.ReadStats().FullSolves })
+	r.IntCounterFunc("numaiod_solver_pool_hits_total",
+		"AcquireSolver calls served from the solver pool.",
+		func() int64 { return fabric.ReadStats().PoolHits() })
+	r.IntCounterFunc("numaiod_solver_pool_misses_total",
+		"AcquireSolver calls that constructed a fresh solver.",
+		func() int64 { return fabric.ReadStats().PoolNews })
+	r.CounterSeries("numaiod_models_installed_total",
+		"Models installed by the fleet replication hooks (push or pull).", &s.installs)
+	r.IntGaugeFunc("numaiod_measure_workers_busy",
+		"Measurement workers currently executing a characterization cell.",
+		core.ActiveMeasureWorkers)
+	s.pipe.RegisterSeries(r,
+		"v1 request latency, with the last request ID per bucket as an OpenMetrics-style exemplar.")
+	return r
 }

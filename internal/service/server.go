@@ -19,14 +19,10 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"strconv"
-	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"numaio/internal/core"
-	"numaio/internal/fabric"
 	"numaio/internal/numa"
 	"numaio/internal/resilience"
 	"numaio/internal/telemetry"
@@ -131,27 +127,25 @@ type Server struct {
 	placeCache   *RespCache
 	pool         *Pool
 	jobs         *JobRegistry
-	metrics      *Metrics
 	registry     *telemetry.Registry
 	mux          *http.ServeMux
 	characterize CharacterizeFunc
 	parallelism  int
 	pullClient   *http.Client
 
-	// installs counts models installed by the fleet replication hooks
-	// (push or pull) — the numaiod_models_installed_total series.
-	installs telemetry.Counter
+	// pipe is the request pipeline every route runs behind: request IDs,
+	// trace context, stages, request metrics, /debug/trace and the flight
+	// recorder.
+	pipe *telemetry.Pipeline
 
-	// traces owns the /debug/trace lifecycle: the active recording plus
-	// the last stopped one, both still readable by in-flight spans.
-	traces telemetry.TraceControl
-
-	// flight is the always-on flight recorder (nil when disabled);
-	// flightDump receives automatic dumps on request failures and
-	// breaker-open transitions, rate-limited via lastFlightDump.
-	flight         *telemetry.FlightRecorder
-	flightDump     io.Writer
-	lastFlightDump atomic.Int64
+	// charLatency times Algorithm 1 runs (seconds); charRetries counts
+	// retried characterization attempts, staleServed responses served from
+	// an expired model after a failed recomputation, and installs models
+	// installed by the fleet replication hooks (push or pull).
+	charLatency *telemetry.BucketHistogram
+	charRetries telemetry.Counter
+	staleServed telemetry.Counter
+	installs    telemetry.Counter
 
 	requestTimeout   time.Duration
 	retry            resilience.RetryPolicy
@@ -169,10 +163,12 @@ func New(cfg Config) *Server {
 	if ttl == 0 {
 		ttl = time.Hour
 	}
-	logger := cfg.Logger
-	if logger == nil {
-		logger = slog.New(slog.NewTextHandler(io.Discard, nil))
-	}
+	pipe := telemetry.NewPipeline(telemetry.PipelineConfig{
+		Daemon:             "numaiod",
+		Logger:             cfg.Logger,
+		FlightRecorderSize: cfg.FlightRecorderSize,
+		FlightDump:         cfg.FlightDump,
+	})
 	ch := cfg.Characterize
 	if ch == nil {
 		ch = DefaultCharacterize
@@ -201,28 +197,21 @@ func New(cfg Config) *Server {
 	if pullClient == nil {
 		pullClient = &http.Client{Timeout: 30 * time.Second}
 	}
-	var flight *telemetry.FlightRecorder
-	if cfg.FlightRecorderSize >= 0 {
-		size := cfg.FlightRecorderSize
-		if size == 0 {
-			size = 4096
-		}
-		flight = telemetry.NewFlightRecorder(size)
-	}
 	s := &Server{
-		log:          logger,
+		log:          pipe.Log(),
 		cache:        NewModelCache(cfg.CacheEntries, ttl),
 		predictCache: NewRespCache(cfg.RespCacheEntries, ttl),
 		placeCache:   NewRespCache(cfg.RespCacheEntries, ttl),
 		pool:         NewPool(workers),
 		jobs:         NewJobRegistry(),
-		metrics:      NewMetrics(),
 		mux:          http.NewServeMux(),
 		characterize: ch,
 		parallelism:  parallelism,
 		pullClient:   pullClient,
-		flight:       flight,
-		flightDump:   cfg.FlightDump,
+		pipe:         pipe,
+		// From sub-millisecond simulated runs up to multi-second whole-host
+		// characterizations.
+		charLatency: telemetry.NewBucketHistogram([]float64{0.001, 0.005, 0.025, 0.1, 0.5, 1, 2.5, 5, 10, 30}),
 
 		requestTimeout:   cfg.RequestTimeout,
 		retry:            resilience.RetryPolicy{MaxRetries: cfg.Retries, Base: backoff},
@@ -231,259 +220,49 @@ func New(cfg Config) *Server {
 		clock:            clock,
 		breakers:         make(map[string]*resilience.Breaker),
 	}
-	s.metrics.SetParallelism(parallelism)
-	s.registry = newExtraRegistry(s)
+	s.registry = s.newRegistry()
 	s.routes()
 	return s
 }
 
-// newExtraRegistry builds the telemetry registry rendered after the
-// historical metrics block on /metrics: solver and pool counters from
-// internal/fabric, measurement-worker occupancy from internal/core, and
-// the trace recorder's state. Pre-existing metric names are untouched —
-// these series are strictly additive.
-func newExtraRegistry(s *Server) *telemetry.Registry {
-	r := telemetry.NewRegistry()
-	r.IntCounterFunc("numaiod_solver_solves_total",
-		"Successful fabric solver passes (water-filling allocations).",
-		func() int64 { return fabric.ReadStats().Solves })
-	r.FloatCounterFunc("numaiod_solver_solve_seconds_total",
-		"Total wall time spent in fabric solver passes.",
-		func() float64 { return float64(fabric.ReadStats().SolveNanos) / 1e9 })
-	r.IntCounterFunc("numaiod_solver_resets_total",
-		"Solver flow-set resets (fluid-session reuse between runs).",
-		func() int64 { return fabric.ReadStats().Resets })
-	r.IntCounterFunc("numaiod_solver_incremental_total",
-		"Solver passes served from converged state (dirty components only).",
-		func() int64 { return fabric.ReadStats().IncrementalSolves })
-	r.IntCounterFunc("numaiod_solver_full_total",
-		"Solver passes that re-leveled every flow from scratch.",
-		func() int64 { return fabric.ReadStats().FullSolves })
-	r.IntCounterFunc("numaiod_solver_pool_hits_total",
-		"AcquireSolver calls served from the solver pool.",
-		func() int64 { return fabric.ReadStats().PoolHits() })
-	r.IntCounterFunc("numaiod_solver_pool_misses_total",
-		"AcquireSolver calls that constructed a fresh solver.",
-		func() int64 { return fabric.ReadStats().PoolNews })
-	r.IntCounterFunc("numaiod_models_installed_total",
-		"Models installed by the fleet replication hooks (push or pull).",
-		s.installs.Value)
-	r.IntGaugeFunc("numaiod_measure_workers_busy",
-		"Measurement workers currently executing a characterization cell.",
-		core.ActiveMeasureWorkers)
-	r.IntGaugeFunc("numaiod_trace_active",
-		"Whether a /debug/trace recording is in progress.",
-		func() int64 {
-			if s.traces.Tracing() {
-				return 1
-			}
-			return 0
-		})
-	r.IntGaugeFunc("numaiod_trace_events",
-		"Events recorded by the active (or last stopped) trace.",
-		func() int64 { return int64(s.traces.Current().Len()) })
-	r.IntGaugeFunc("numaiod_flight_events",
-		"Events currently retained by the always-on flight recorder.",
-		func() int64 { return int64(s.flight.Len()) })
-	r.Register(telemetry.Series{
-		Name: "numaiod_request_seconds",
-		Type: "histogram",
-		Help: "v1 request latency, with the last request ID per bucket as an OpenMetrics-style exemplar.",
-		Collect: func(w io.Writer) {
-			h := s.metrics.RequestLatency()
-			counts := h.Counts()
-			bounds := h.Bounds()
-			var cum int64
-			writeBucket := func(le string, i int) {
-				fmt.Fprintf(w, "numaiod_request_seconds_bucket{le=%q} %d", le, cum)
-				if ex := h.Exemplar(i); ex != "" {
-					fmt.Fprintf(w, " # {request_id=%q}", ex)
-				}
-				fmt.Fprintln(w)
-			}
-			for i, le := range bounds {
-				cum += counts[i]
-				writeBucket(strconv.FormatFloat(le, 'g', -1, 64), i)
-			}
-			cum += counts[len(bounds)]
-			writeBucket("+Inf", len(bounds))
-			fmt.Fprintf(w, "numaiod_request_seconds_sum %g\n", h.Sum())
-			fmt.Fprintf(w, "numaiod_request_seconds_count %d\n", h.Total())
-		},
-	})
-	return r
-}
-
 func (s *Server) routes() {
-	s.handle("GET /healthz", "/healthz", s.handleHealthz)
-	s.handle("GET /metrics", "/metrics", s.handleMetrics)
-	s.handle("POST /v1/characterize", "/v1/characterize", s.handleCharacterize)
-	s.handle("GET /v1/models/{fingerprint}", "/v1/models", s.handleModel)
-	s.handle("PUT /v1/models/{fingerprint}", "/v1/models", s.handleModelInstall)
-	s.handle("POST /v1/models/pull", "/v1/models/pull", s.handleModelPull)
-	s.handle("GET /v1/jobs/{id}", "/v1/jobs", s.handleJob)
-	s.handle("POST /v1/predict", "/v1/predict", s.handlePredict)
-	s.handle("POST /v1/predict/batch", "/v1/predict/batch", s.handlePredictBatch)
-	s.handle("POST /v1/place", "/v1/place", s.handlePlace)
-	s.handle("POST /v1/whatif", "/v1/whatif", s.handleWhatif)
-	s.handle("POST /debug/trace/start", "/debug/trace/start", s.handleTraceStart)
-	s.handle("POST /debug/trace/stop", "/debug/trace/stop", s.handleTraceStop)
-	s.handle("GET /debug/trace", "/debug/trace", s.handleTraceDownload)
-	s.handle("GET /debug/flightrecorder", "/debug/flightrecorder", s.handleFlightRecorder)
+	s.handle("GET /healthz", s.handleHealthz)
+	s.handle("GET /metrics", s.registry.ServeHTTP)
+	s.handle("POST /v1/characterize", s.handleCharacterize)
+	s.handle("GET /v1/models/{fingerprint}", s.handleModel)
+	s.handle("PUT /v1/models/{fingerprint}", s.handleModelInstall)
+	s.handle("POST /v1/models/pull", s.handleModelPull)
+	s.handle("GET /v1/jobs/{id}", s.handleJob)
+	s.handle("POST /v1/predict", s.handlePredict)
+	s.handle("POST /v1/predict/batch", s.handlePredictBatch)
+	s.handle("POST /v1/place", s.handlePlace)
+	s.handle("POST /v1/whatif", s.handleWhatif)
+	s.pipe.DebugRoutes(s.mux)
 }
 
-// handle registers a pattern under the logging/metrics middleware. The
-// endpoint label aggregates path parameters (e.g. every /v1/models/{fp}
-// request counts under "/v1/models"). A configured RequestTimeout becomes
-// the request context's deadline here, so every handler inherits it.
-//
-// The middleware also owns trace-context propagation: an inbound
-// X-Trace-Ctx header (W3C traceparent syntax) is parsed and a child span
-// context derived from it — or a fresh one minted when absent/malformed —
-// echoed on the response and threaded through the request context so
-// downstream hops (model pulls) carry the same trace ID. v1 endpoints
-// additionally get a per-request stage breakdown (Server-Timing header),
-// the whole-request latency histogram with request-ID exemplars, and a
-// flight-recorder event.
-func (s *Server) handle(pattern, endpoint string, h http.HandlerFunc) {
-	isV1 := strings.HasPrefix(endpoint, "/v1/")
-	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-		start := time.Now()
-		// A request ID arriving from the gateway (or any client) is echoed
-		// on the response and joined to the request log, so one forwarded
-		// request is traceable across hops.
-		rid := r.Header.Get("X-Request-Id")
-		if rid != "" {
-			w.Header().Set("X-Request-Id", rid)
-		}
-		var tc telemetry.TraceContext
-		if in, ok := telemetry.ParseTraceContext(r.Header.Get(telemetry.TraceCtxHeader)); ok {
-			tc = in.Child()
-		} else {
-			tc = telemetry.NewTraceContext()
-		}
-		w.Header().Set(telemetry.TraceCtxHeader, tc.String())
-		r = r.WithContext(telemetry.ContextWithTrace(r.Context(), tc))
-		var stg *telemetry.Stages
-		if isV1 {
-			stg = telemetry.NewStages()
-			rec.stages = stg
-			r = r.WithContext(telemetry.ContextWithStages(r.Context(), stg))
-		}
-		if s.requestTimeout > 0 {
+// handle registers h behind the request pipeline. A configured
+// RequestTimeout becomes the request context's deadline here, on the
+// daemon's clock, so every API handler inherits it.
+func (s *Server) handle(pattern string, h http.HandlerFunc) {
+	if s.requestTimeout > 0 {
+		next := h
+		h = func(w http.ResponseWriter, r *http.Request) {
 			ctx, cancel := resilience.ContextWithTimeout(r.Context(), s.clock, s.requestTimeout)
 			defer cancel()
-			r = r.WithContext(ctx)
+			next(w, r.WithContext(ctx))
 		}
-		// One span per request on the active trace. The explicit nil guard
-		// (rather than relying on nil-tracer no-ops) keeps the untraced
-		// fast path free of the variadic attr allocations.
-		var span *telemetry.Span
-		if tr := s.traces.Active(); tr != nil {
-			span = tr.StartSpan(endpoint, "http",
-				telemetry.String("method", r.Method),
-				telemetry.String("trace_id", tc.TraceID),
-				telemetry.String("span_id", tc.SpanID))
-		}
-		h(rec, r)
-		if span != nil {
-			span.SetAttr(telemetry.Int("status", rec.status))
-			span.End()
-		}
-		elapsed := time.Since(start)
-		s.metrics.ObserveRequest(endpoint, rec.status)
-		if isV1 {
-			s.metrics.ObserveRequestLatency(elapsed.Seconds(), rid)
-			s.flight.Record(telemetry.FlightEvent{
-				Time:    start.UnixNano(),
-				Dur:     elapsed,
-				Status:  rec.status,
-				Name:    endpoint,
-				Cat:     "http",
-				RID:     rid,
-				TraceID: tc.TraceID,
-			})
-			if rec.status >= http.StatusInternalServerError {
-				s.dumpFlight(fmt.Sprintf("status %d on %s", rec.status, endpoint))
-			}
-		}
-		attrs := []any{
-			"method", r.Method,
-			"path", r.URL.Path,
-			"status", rec.status,
-			"duration", elapsed,
-			"bytes", rec.bytes,
-			"remote", r.RemoteAddr,
-			"trace_id", tc.TraceID,
-		}
-		if rid != "" {
-			attrs = append(attrs, "request_id", rid)
-		}
-		attrs = stg.AppendLogAttrs(attrs)
-		s.log.Info("request", attrs...)
-	})
-}
-
-// statusRecorder captures the response status and byte count, and — when
-// the middleware attached a stage breakdown — injects the Server-Timing
-// header at WriteHeader time, the last moment headers are mutable.
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-	bytes  int
-	stages *telemetry.Stages
-}
-
-func (r *statusRecorder) WriteHeader(code int) {
-	if st := r.stages.Header(); st != "" {
-		r.ResponseWriter.Header().Set("Server-Timing", st)
 	}
-	r.status = code
-	r.ResponseWriter.WriteHeader(code)
+	s.pipe.Handle(s.mux, pattern, h)
 }
 
-func (r *statusRecorder) Write(p []byte) (int, error) {
-	n, err := r.ResponseWriter.Write(p)
-	r.bytes += n
-	return n, err
-}
+// DumpFlightRecorder writes one flight-recorder dump to w — cmd/numaiod
+// wires it to SIGQUIT. It reports an error when the recorder is disabled
+// or another dump was written less than a second ago.
+func (s *Server) DumpFlightRecorder(w io.Writer) error { return s.pipe.Dump(w, "SIGQUIT") }
 
-// dumpFlight writes one flight-recorder dump to the configured FlightDump
-// writer, rate-limited to one per second so a failure storm cannot flood
-// the log stream.
-func (s *Server) dumpFlight(reason string) {
-	if s.flightDump == nil || s.flight == nil {
-		return
-	}
-	now := time.Now().UnixNano()
-	last := s.lastFlightDump.Load()
-	if now-last < int64(time.Second) || !s.lastFlightDump.CompareAndSwap(last, now) {
-		return
-	}
-	fmt.Fprintf(s.flightDump, "numaiod flight recorder dump (%s):\n", reason)
-	_ = s.flight.WriteJSON(s.flightDump)
-	fmt.Fprintln(s.flightDump)
-}
-
-// DumpFlightRecorder writes the flight recorder's JSON snapshot to w —
-// cmd/numaiod wires it to SIGQUIT. It reports an error when the recorder
-// is disabled.
-func (s *Server) DumpFlightRecorder(w io.Writer) error {
-	if s.flight == nil {
-		return errors.New("service: flight recorder disabled")
-	}
-	return s.flight.WriteJSON(w)
-}
-
-// WriteMetrics renders the full /metrics payload: the historical block
-// followed by the additive registry series. Exported so tests can pin the
+// WriteMetrics renders the /metrics payload. Exported so tests can pin the
 // exposition format without an HTTP round trip.
-func (s *Server) WriteMetrics(w io.Writer) {
-	s.metrics.WriteTo(w, s.cache.Stats(), s.predictCache.Stats(), s.placeCache.Stats(),
-		s.pool.InFlight(), s.openBreakers())
-	s.registry.Render(w)
-}
+func (s *Server) WriteMetrics(w io.Writer) { s.registry.Render(w) }
 
 // Handler returns the daemon's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
@@ -491,8 +270,9 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Cache exposes the model cache (metrics, tests).
 func (s *Server) Cache() *ModelCache { return s.cache }
 
-// Metrics exposes the metrics registry (tests).
-func (s *Server) Metrics() *Metrics { return s.metrics }
+// RequestCount returns the requests served on endpoint, over all statuses
+// (tests).
+func (s *Server) RequestCount(endpoint string) int64 { return s.pipe.Requests().Count(endpoint) }
 
 // Drain stops admitting async work and waits for in-flight jobs, honouring
 // ctx as the deadline. Call after http.Server.Shutdown during graceful
@@ -513,13 +293,13 @@ func (s *Server) characterizeCached(ctx context.Context, m *topology.Machine, fp
 	// Record onto the active /debug/trace, if one is running. The tracer
 	// shapes no results and configKey never includes it, so traced and
 	// untraced runs share cache entries.
-	cfg.Tracer = s.traces.Active()
+	cfg.Tracer = s.pipe.Tracer()
 	key := fp + "|" + configKey(cfg)
 
 	br := s.breakerFor(key)
 	if br != nil && !br.Allow() {
 		if mm, ok := s.cache.GetStale(key); ok {
-			s.metrics.ObserveStaleServed()
+			s.staleServed.Inc()
 			return mm, true, true, nil
 		}
 		return nil, false, false, fmt.Errorf("%w: model %s", ErrCircuitOpen, fp)
@@ -543,7 +323,7 @@ func (s *Server) characterizeCached(ctx context.Context, m *topology.Machine, fp
 		var mm *core.MachineModel
 		rerr := resilience.Retry(ctx, s.clock, s.retry, func(attempt int) error {
 			if attempt > 0 {
-				s.metrics.ObserveCharacterizeRetry()
+				s.charRetries.Inc()
 				s.log.Warn("retrying characterization", "fingerprint", fp, "attempt", attempt)
 			}
 			var cerr error
@@ -558,7 +338,7 @@ func (s *Server) characterizeCached(ctx context.Context, m *topology.Machine, fp
 		if rerr != nil {
 			return nil, rerr
 		}
-		s.metrics.ObserveCharacterization(time.Since(start))
+		s.charLatency.Observe(time.Since(start).Seconds())
 		mm.Fingerprint = fp
 		return mm, nil
 	})
@@ -581,7 +361,7 @@ func (s *Server) characterizeCached(ctx context.Context, m *topology.Machine, fp
 		if mm, ok := s.cache.GetStale(key); ok {
 			s.log.Warn("serving stale model after failed recomputation",
 				"fingerprint", fp, "error", err)
-			s.metrics.ObserveStaleServed()
+			s.staleServed.Inc()
 			return mm, true, true, nil
 		}
 		return nil, false, false, err
@@ -601,17 +381,17 @@ func (s *Server) breakerFor(key string) *resilience.Breaker {
 	if !ok {
 		br = resilience.NewBreaker(s.breakerThreshold, s.breakerCooldown, s.clock)
 		br.SetTransitionHook(func(from, to resilience.BreakerState) {
-			s.traces.Active().Instant("breaker-"+to.String(), "resilience",
+			s.pipe.Tracer().Instant("breaker-"+to.String(), "resilience",
 				telemetry.String("from", from.String()),
 				telemetry.String("key", key))
-			s.flight.Record(telemetry.FlightEvent{
+			s.pipe.Record(telemetry.FlightEvent{
 				Time:   time.Now().UnixNano(),
 				Name:   "breaker-" + to.String(),
 				Cat:    "resilience",
 				Detail: "key=" + key + " from=" + from.String(),
 			})
 			if to == resilience.BreakerOpen {
-				s.dumpFlight("breaker open: " + key)
+				s.pipe.DumpOnFailure("breaker open: " + key)
 			}
 		})
 		s.breakers[key] = br
@@ -696,19 +476,11 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	addEncodeStage(w, time.Since(start))
+	telemetry.StagesFromWriter(w).Add("encode", time.Since(start))
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_, _ = w.Write(e.buf.Bytes())
 	encPool.Put(e)
-}
-
-// addEncodeStage attributes one encode duration to the request's stage
-// breakdown, reaching the Stages through the middleware's statusRecorder.
-func addEncodeStage(w http.ResponseWriter, d time.Duration) {
-	if rec, ok := w.(*statusRecorder); ok {
-		rec.stages.Add("encode", d)
-	}
 }
 
 // writeJSONBytes serves an already rendered JSON body (response-cache
@@ -733,7 +505,7 @@ func writeJSONCached(w http.ResponseWriter, status int, v any, cache *RespCache,
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	addEncodeStage(w, time.Since(start))
+	telemetry.StagesFromWriter(w).Add("encode", time.Since(start))
 	cache.Put(key, body)
 	writeJSONBytes(w, status, body)
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"numaio/internal/service"
+	"numaio/internal/telemetry"
 )
 
 // TestTraceRoundTrip drives the /debug/trace lifecycle end to end: start,
@@ -198,12 +199,15 @@ func TestTraceLifecycleConcurrent(t *testing.T) {
 	}
 }
 
-// TestMetricsAndRespCacheConcurrent hammers the request-path counters from
-// 32 goroutines — the sharded-counter replacement for the old single-mutex
-// Metrics — alongside a RespCache, and checks nothing is lost. Run under
+// TestMetricsAndRespCacheConcurrent hammers the request-path counters
+// numaiod renders — the pipeline's requests-by-endpoint counter, the
+// characterization histogram and the resilience counters — from 32
+// goroutines alongside a RespCache, and checks nothing is lost. Run under
 // -race in CI.
 func TestMetricsAndRespCacheConcurrent(t *testing.T) {
-	m := service.NewMetrics()
+	requests := telemetry.NewEndpointCounter()
+	charLatency := telemetry.NewBucketHistogram([]float64{0.001, 0.005, 0.025})
+	var retries, stale telemetry.Counter
 	rc := service.NewRespCache(64, time.Minute)
 	const workers, per = 32, 500
 
@@ -213,11 +217,11 @@ func TestMetricsAndRespCacheConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				m.ObserveRequest("/v1/predict", 200)
-				m.ObserveRequest("/v1/place", 400+w%2)
-				m.ObserveCharacterization(time.Duration(i%7) * time.Millisecond)
-				m.ObserveCharacterizeRetry()
-				m.ObserveStaleServed()
+				requests.Endpoint("/v1/predict").With(200).Inc()
+				requests.Endpoint("/v1/place").With(400 + w%2).Inc()
+				charLatency.Observe((time.Duration(i%7) * time.Millisecond).Seconds())
+				retries.Inc()
+				stale.Inc()
 				if _, ok := rc.Get("k"); !ok {
 					rc.Put("k", []byte("{}"))
 				}
@@ -226,13 +230,13 @@ func TestMetricsAndRespCacheConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 
-	if got := m.RequestCount("/v1/predict"); got != workers*per {
+	if got := requests.Count("/v1/predict"); got != workers*per {
 		t.Errorf("predict requests = %d, want %d", got, workers*per)
 	}
-	if got := m.RequestCount("/v1/place"); got != workers*per {
+	if got := requests.Count("/v1/place"); got != workers*per {
 		t.Errorf("place requests = %d, want %d", got, workers*per)
 	}
-	if got := m.StaleServed(); got != workers*per {
+	if got := stale.Value(); got != workers*per {
 		t.Errorf("stale served = %d, want %d", got, workers*per)
 	}
 	stats := rc.Stats()

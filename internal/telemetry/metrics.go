@@ -5,7 +5,9 @@ import (
 	"io"
 	"math"
 	"math/rand/v2"
+	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -45,21 +47,6 @@ func (c *Counter) Value() int64 {
 	}
 	return total
 }
-
-// Gauge is an instantaneous value set and read atomically. The zero value
-// is ready to use.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add adjusts the gauge by delta and returns the new value.
-func (g *Gauge) Add(delta int64) int64 { return g.v.Add(delta) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // IntCounterVec is a family of Counters keyed by a small integer label
 // (e.g. HTTP status). The hot path — With on an existing key — takes only
@@ -115,15 +102,64 @@ func (v *IntCounterVec) Value(key int) int64 {
 	return c.Value()
 }
 
+// EndpointCounter counts requests by endpoint and status: the
+// <daemon>_requests_total family. The request pipeline resolves each
+// route's per-status counters when the route is registered, so counting a
+// request is a read-locked status lookup plus a sharded atomic add.
+type EndpointCounter struct {
+	mu sync.RWMutex
+	m  map[string]*IntCounterVec
+}
+
+// NewEndpointCounter builds an empty counter.
+func NewEndpointCounter() *EndpointCounter {
+	return &EndpointCounter{m: make(map[string]*IntCounterVec)}
+}
+
+// Endpoint returns endpoint's per-status counters, creating them on first
+// use.
+func (c *EndpointCounter) Endpoint(endpoint string) *IntCounterVec {
+	c.mu.RLock()
+	vec, ok := c.m[endpoint]
+	c.mu.RUnlock()
+	if ok {
+		return vec
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if vec, ok = c.m[endpoint]; !ok {
+		vec = NewIntCounterVec()
+		c.m[endpoint] = vec
+	}
+	return vec
+}
+
+// Count returns the requests counted for endpoint, over all statuses.
+func (c *EndpointCounter) Count(endpoint string) int64 {
+	vec := c.Endpoint(endpoint)
+	var total int64
+	for _, s := range vec.Keys() {
+		total += vec.Value(s)
+	}
+	return total
+}
+
 // BucketHistogram is a fixed-bounds histogram in the Prometheus style:
 // explicit upper bounds plus a +Inf overflow, an observation sum and a
 // total count, all updated atomically so Observe takes no lock.
 type BucketHistogram struct {
 	bounds    []float64
-	counts    []atomic.Int64           // len(bounds)+1; last is +Inf
-	exemplars []atomic.Pointer[string] // len(bounds)+1; latest request ID per bucket
-	sum       atomic.Uint64            // float64 bits, updated by CAS
+	counts    []atomic.Int64 // len(bounds)+1; last is +Inf
+	exemplars []exemplar     // len(bounds)+1; latest request ID per bucket
+	sum       atomic.Uint64  // float64 bits, updated by CAS
 	total     atomic.Int64
+}
+
+// exemplar is one bucket's latest request ID. A string stored under a
+// lock, unlike a swapped *string, costs ObserveExemplar no allocation.
+type exemplar struct {
+	mu sync.Mutex
+	id string
 }
 
 // NewBucketHistogram builds a histogram over the given ascending upper
@@ -134,7 +170,7 @@ func NewBucketHistogram(bounds []float64) *BucketHistogram {
 	return &BucketHistogram{
 		bounds:    b,
 		counts:    make([]atomic.Int64, len(b)+1),
-		exemplars: make([]atomic.Pointer[string], len(b)+1),
+		exemplars: make([]exemplar, len(b)+1),
 	}
 }
 
@@ -157,8 +193,10 @@ func (h *BucketHistogram) Observe(v float64) {
 // (OpenMetrics-style). An empty id degrades to a plain Observe.
 func (h *BucketHistogram) ObserveExemplar(v float64, id string) {
 	if id != "" {
-		i := sort.SearchFloat64s(h.bounds, v)
-		h.exemplars[i].Store(&id)
+		ex := &h.exemplars[sort.SearchFloat64s(h.bounds, v)]
+		ex.mu.Lock()
+		ex.id = id
+		ex.mu.Unlock()
 	}
 	h.Observe(v)
 }
@@ -169,14 +207,11 @@ func (h *BucketHistogram) Exemplar(i int) string {
 	if i < 0 || i >= len(h.exemplars) {
 		return ""
 	}
-	if p := h.exemplars[i].Load(); p != nil {
-		return *p
-	}
-	return ""
+	ex := &h.exemplars[i]
+	ex.mu.Lock()
+	defer ex.mu.Unlock()
+	return ex.id
 }
-
-// Bounds returns the configured upper bounds.
-func (h *BucketHistogram) Bounds() []float64 { return h.bounds }
 
 // Counts returns a snapshot of per-bucket (non-cumulative) counts; the
 // final element is the +Inf overflow bucket.
@@ -198,7 +233,7 @@ func (h *BucketHistogram) Total() int64 { return h.total.Load() }
 // lines followed by whatever samples Collect writes.
 type Series struct {
 	Name    string
-	Type    string // "counter" or "gauge"
+	Type    string // "counter", "gauge" or "histogram"
 	Help    string
 	Collect func(w io.Writer)
 }
@@ -233,17 +268,16 @@ func (r *Registry) Render(w io.Writer) {
 	}
 }
 
+// ServeHTTP serves the rendered families: a /metrics endpoint.
+func (r *Registry) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	r.Render(w)
+}
+
 // CounterSeries registers a sharded counter as a single-sample family.
 func (r *Registry) CounterSeries(name, help string, c *Counter) {
 	r.Register(Series{Name: name, Type: "counter", Help: help, Collect: func(w io.Writer) {
 		fmt.Fprintf(w, "%s %d\n", name, c.Value())
-	}})
-}
-
-// GaugeSeries registers a gauge as a single-sample family.
-func (r *Registry) GaugeSeries(name, help string, g *Gauge) {
-	r.Register(Series{Name: name, Type: "gauge", Help: help, Collect: func(w io.Writer) {
-		fmt.Fprintf(w, "%s %d\n", name, g.Value())
 	}})
 }
 
@@ -268,5 +302,48 @@ func (r *Registry) IntGaugeFunc(name, help string, fn func() int64) {
 func (r *Registry) FloatCounterFunc(name, help string, fn func() float64) {
 	r.Register(Series{Name: name, Type: "counter", Help: help, Collect: func(w io.Writer) {
 		fmt.Fprintf(w, "%s %g\n", name, fn())
+	}})
+}
+
+// HistogramSeries registers h as a histogram family: cumulative buckets,
+// each followed by its latest request-ID exemplar when one was recorded,
+// then the sum and count.
+func (r *Registry) HistogramSeries(name, help string, h *BucketHistogram) {
+	r.Register(Series{Name: name, Type: "histogram", Help: help, Collect: func(w io.Writer) {
+		var cum int64
+		for i, c := range h.Counts() {
+			cum += c
+			le := "+Inf"
+			if i < len(h.bounds) {
+				le = strconv.FormatFloat(h.bounds[i], 'g', -1, 64)
+			}
+			fmt.Fprintf(w, "%s_bucket{le=%q} %d", name, le, cum)
+			if ex := h.Exemplar(i); ex != "" {
+				fmt.Fprintf(w, " # {request_id=%q}", ex)
+			}
+			fmt.Fprintln(w)
+		}
+		fmt.Fprintf(w, "%s_sum %g\n", name, h.Sum())
+		fmt.Fprintf(w, "%s_count %d\n", name, h.Total())
+	}})
+}
+
+// EndpointSeries registers c as a counter family labelled by endpoint and
+// status, endpoints in lexical and statuses in numeric order.
+func (r *Registry) EndpointSeries(name, help string, c *EndpointCounter) {
+	r.Register(Series{Name: name, Type: "counter", Help: help, Collect: func(w io.Writer) {
+		c.mu.RLock()
+		endpoints := make([]string, 0, len(c.m))
+		for e := range c.m {
+			endpoints = append(endpoints, e)
+		}
+		c.mu.RUnlock()
+		sort.Strings(endpoints)
+		for _, e := range endpoints {
+			vec := c.Endpoint(e)
+			for _, s := range vec.Keys() {
+				fmt.Fprintf(w, "%s{endpoint=%q,status=\"%d\"} %d\n", name, e, s, vec.Value(s))
+			}
+		}
 	}})
 }

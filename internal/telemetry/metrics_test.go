@@ -14,11 +14,6 @@ func TestCounterAndGauge(t *testing.T) {
 	if c.Value() != 42 {
 		t.Errorf("counter = %d, want 42", c.Value())
 	}
-	var g Gauge
-	g.Set(7)
-	if g.Add(-3) != 4 || g.Value() != 4 {
-		t.Errorf("gauge = %d, want 4", g.Value())
-	}
 }
 
 func TestIntCounterVec(t *testing.T) {
@@ -65,10 +60,8 @@ func TestRegistryRendersInOrder(t *testing.T) {
 	r := NewRegistry()
 	var c Counter
 	c.Add(5)
-	var g Gauge
-	g.Set(2)
 	r.CounterSeries("demo_total", "A demo counter.", &c)
-	r.GaugeSeries("demo_gauge", "A demo gauge.", &g)
+	r.IntGaugeFunc("demo_gauge", "A demo gauge.", func() int64 { return 2 })
 	r.IntCounterFunc("demo_func_total", "A derived counter.", func() int64 { return 9 })
 	r.FloatCounterFunc("demo_seconds_total", "A float counter.", func() float64 { return 0.25 })
 
@@ -97,12 +90,10 @@ func TestRegistryRendersInOrder(t *testing.T) {
 func TestMetricsConcurrent(t *testing.T) {
 	const workers, per = 32, 1000
 	var c Counter
-	var g Gauge
 	vec := NewIntCounterVec()
 	hist := NewBucketHistogram([]float64{1, 2, 4})
 	reg := NewRegistry()
 	reg.CounterSeries("stress_total", "stress", &c)
-	reg.GaugeSeries("stress_gauge", "stress", &g)
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -111,7 +102,6 @@ func TestMetricsConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				c.Inc()
-				g.Add(1)
 				vec.With(200 + w%3).Inc()
 				hist.Observe(float64(i % 5))
 				if i%100 == 0 {
@@ -128,9 +118,6 @@ func TestMetricsConcurrent(t *testing.T) {
 
 	if c.Value() != workers*per {
 		t.Errorf("counter = %d, want %d", c.Value(), workers*per)
-	}
-	if g.Value() != workers*per {
-		t.Errorf("gauge = %d, want %d", g.Value(), workers*per)
 	}
 	var vecTotal int64
 	for _, k := range vec.Keys() {

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"context"
+	"log/slog"
 	"strconv"
 	"sync"
 	"time"
@@ -25,9 +26,6 @@ type Stages struct {
 	names [maxStages]string
 	durs  [maxStages]time.Duration
 }
-
-// NewStages returns an empty breakdown.
-func NewStages() *Stages { return &Stages{} }
 
 // Add folds d into the named stage, creating it on first use. Repeated
 // names accumulate — e.g. the response-cache probe and fill of one
@@ -112,32 +110,28 @@ func (s *Stages) Header() string {
 	return string(b)
 }
 
-// AppendLogAttrs appends alternating "stage_<name>", duration pairs to
-// attrs for the structured request log.
-func (s *Stages) AppendLogAttrs(attrs []any) []any {
+// AppendLogAttrs appends one "stage_<name>" duration attribute per stage
+// to attrs for the structured request log.
+func (s *Stages) AppendLogAttrs(attrs []slog.Attr) []slog.Attr {
 	if s == nil {
 		return attrs
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for i := 0; i < s.n; i++ {
-		attrs = append(attrs, "stage_"+s.names[i], s.durs[i])
+		attrs = append(attrs, slog.Duration("stage_"+s.names[i], s.durs[i]))
 	}
 	return attrs
 }
 
-type stagesKey struct{}
-
-// ContextWithStages returns ctx carrying s, so code deep in the handler
-// chain (pools, caches, solvers) can attribute time without threading a
-// parameter through every signature.
-func ContextWithStages(ctx context.Context, s *Stages) context.Context {
-	return context.WithValue(ctx, stagesKey{}, s)
-}
-
-// StagesFromContext returns the breakdown stored by ContextWithStages,
-// or nil — which every Stages method accepts.
+// StagesFromContext returns the breakdown the request pipeline threads
+// through a /v1/ request's context, so code deep in the handler chain
+// (pools, caches, solvers) can attribute time without threading a
+// parameter through every signature; else nil — which every Stages
+// method accepts.
 func StagesFromContext(ctx context.Context) *Stages {
-	s, _ := ctx.Value(stagesKey{}).(*Stages)
-	return s
+	if rw, ok := ctx.Value(requestKey{}).(*responseWriter); ok {
+		return rw.stages
+	}
+	return nil
 }

@@ -6,8 +6,7 @@ import "sync/atomic"
 // active tracer, plus the most recently stopped one so a completed
 // recording stays downloadable after tracing ends. All methods are safe
 // for concurrent use — start, stop and download may race each other and
-// live requests. numaiod and numaiogw each embed one behind their
-// /debug/trace endpoints.
+// live requests. The request pipeline embeds one behind /debug/trace.
 type TraceControl struct {
 	active atomic.Pointer[Tracer]
 	last   atomic.Pointer[Tracer]

@@ -26,21 +26,33 @@ type TraceContext struct {
 
 // NewTraceContext mints a root context with random trace and span IDs.
 func NewTraceContext() TraceContext {
-	var b [24]byte
-	mustRandRead(b[:])
-	return TraceContext{
-		TraceID: hex.EncodeToString(b[:16]),
-		SpanID:  hex.EncodeToString(b[16:]),
-	}
+	tc, _ := mintTrace("")
+	return tc
 }
 
 // Child keeps the trace ID and mints a fresh span ID — the context a hop
 // attaches to its own span and forwards downstream, so the downstream
 // span's parent is this hop rather than this hop's caller.
 func (c TraceContext) Child() TraceContext {
-	var b [8]byte
-	mustRandRead(b[:])
-	return TraceContext{TraceID: c.TraceID, SpanID: hex.EncodeToString(b[:])}
+	tc, _ := mintTrace(c.TraceID)
+	return tc
+}
+
+// mintTrace mints a fresh span ID under traceID (under a fresh random
+// trace ID when traceID is empty) and returns the context together with
+// its TraceCtxHeader value. Both IDs are slices of that one string, so a
+// request's whole trace context costs a single allocation.
+func mintTrace(traceID string) (TraceContext, string) {
+	var rnd [24]byte
+	mustRandRead(rnd[:])
+	b := []byte("00-0123456789abcdef0123456789abcdef-0123456789abcdef-01")
+	hex.Encode(b[3:35], rnd[:16])
+	if traceID != "" {
+		copy(b[3:35], traceID)
+	}
+	hex.Encode(b[36:52], rnd[16:])
+	hdr := string(b)
+	return TraceContext{TraceID: hdr[3:35], SpanID: hdr[36:52]}, hdr
 }
 
 // Valid reports whether the context carries both IDs.
@@ -97,16 +109,13 @@ func mustRandRead(b []byte) {
 	_, _ = rand.Read(b)
 }
 
-type traceCtxKey struct{}
-
-// ContextWithTrace returns ctx carrying tc, so outbound hops made on
-// behalf of the request (e.g. a model-pull) can propagate the context.
-func ContextWithTrace(ctx context.Context, tc TraceContext) context.Context {
-	return context.WithValue(ctx, traceCtxKey{}, tc)
-}
-
-// TraceFromContext returns the trace context stored by ContextWithTrace.
+// TraceFromContext returns the trace context the request pipeline threads
+// through a request's context, so outbound hops made on behalf of the
+// request (forwards, model pulls) can propagate it.
 func TraceFromContext(ctx context.Context) (TraceContext, bool) {
-	tc, ok := ctx.Value(traceCtxKey{}).(TraceContext)
-	return tc, ok && tc.Valid()
+	rw, ok := ctx.Value(requestKey{}).(*responseWriter)
+	if !ok {
+		return TraceContext{}, false
+	}
+	return rw.trace, rw.trace.Valid()
 }

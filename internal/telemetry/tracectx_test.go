@@ -2,6 +2,9 @@ package telemetry
 
 import (
 	"context"
+	"log/slog"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -56,15 +59,28 @@ func TestParseTraceContextRejects(t *testing.T) {
 	}
 }
 
+// TestTraceContextInContext: the pipeline threads the request's trace
+// context — a child of the inbound one, as echoed on the response —
+// through the handler's context.
 func TestTraceContextInContext(t *testing.T) {
 	if _, ok := TraceFromContext(context.Background()); ok {
 		t.Fatal("empty context yielded a trace context")
 	}
-	tc := NewTraceContext()
-	ctx := ContextWithTrace(context.Background(), tc)
-	got, ok := TraceFromContext(ctx)
-	if !ok || got != tc {
-		t.Fatalf("TraceFromContext = %+v ok=%v, want %+v", got, ok, tc)
+	p := NewPipeline(PipelineConfig{Daemon: "test"})
+	mux := http.NewServeMux()
+	var got TraceContext
+	var ok bool
+	p.Handle(mux, "GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+		got, ok = TraceFromContext(r.Context())
+	})
+	parent := NewTraceContext()
+	req := httptest.NewRequest(http.MethodGet, "/healthz", nil)
+	req.Header.Set(TraceCtxHeader, parent.String())
+	rec := httptest.NewRecorder()
+	mux.ServeHTTP(rec, req)
+	echoed, _ := ParseTraceContext(rec.Header().Get(TraceCtxHeader))
+	if !ok || got != echoed || got.TraceID != parent.TraceID || got.SpanID == parent.SpanID {
+		t.Fatalf("TraceFromContext = %+v ok=%v; echoed %+v, parent %+v", got, ok, echoed, parent)
 	}
 }
 
@@ -75,7 +91,7 @@ func TestStagesHeaderAndAttrs(t *testing.T) {
 		t.Fatal("nil stages are not empty")
 	}
 
-	s := NewStages()
+	s := new(Stages)
 	s.Add("queue", 132*time.Microsecond)
 	s.Add("solve", 5210*time.Microsecond)
 	s.Add("queue", 868*time.Microsecond) // accumulates, keeps first-add order
@@ -85,8 +101,8 @@ func TestStagesHeaderAndAttrs(t *testing.T) {
 	if got := s.Get("queue"); got != time.Millisecond {
 		t.Errorf("Get(queue) = %v", got)
 	}
-	attrs := s.AppendLogAttrs([]any{"endpoint", "/v1/predict"})
-	if len(attrs) != 6 || attrs[2] != "stage_queue" || attrs[4] != "stage_solve" {
+	attrs := s.AppendLogAttrs([]slog.Attr{slog.String("endpoint", "/v1/predict")})
+	if len(attrs) != 3 || attrs[1].Key != "stage_queue" || attrs[2].Key != "stage_solve" {
 		t.Errorf("AppendLogAttrs = %v", attrs)
 	}
 
@@ -100,7 +116,7 @@ func TestStagesHeaderAndAttrs(t *testing.T) {
 }
 
 func TestStagesObserveAndContext(t *testing.T) {
-	s := NewStages()
+	s := new(Stages)
 	s.Observe("solve", func() {})
 	if s.Len() != 1 || s.Get("solve") < 0 {
 		t.Fatal("Observe did not record the stage")
@@ -108,8 +124,30 @@ func TestStagesObserveAndContext(t *testing.T) {
 	if StagesFromContext(context.Background()) != nil {
 		t.Fatal("empty context yielded stages")
 	}
-	ctx := ContextWithStages(context.Background(), s)
-	if StagesFromContext(ctx) != s {
-		t.Fatal("stages lost in context round trip")
+
+	// The pipeline threads a breakdown through /v1/ requests only,
+	// reachable from the context and the writer alike, and renders it as
+	// the Server-Timing header.
+	p := NewPipeline(PipelineConfig{Daemon: "test"})
+	mux := http.NewServeMux()
+	var v1, other *Stages
+	p.Handle(mux, "GET /v1/x", func(w http.ResponseWriter, r *http.Request) {
+		v1 = StagesFromContext(r.Context())
+		if StagesFromWriter(w) != v1 {
+			t.Error("writer and context disagree on the stage breakdown")
+		}
+		v1.Add("cache", time.Millisecond)
+	})
+	p.Handle(mux, "GET /other", func(w http.ResponseWriter, r *http.Request) {
+		other = StagesFromContext(r.Context())
+	})
+	rec := httptest.NewRecorder()
+	mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/x", nil))
+	if v1 == nil || rec.Header().Get("Server-Timing") != "cache;dur=1.000" {
+		t.Errorf("/v1/ route: stages %v, Server-Timing %q", v1, rec.Header().Get("Server-Timing"))
+	}
+	mux.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/other", nil))
+	if other != nil {
+		t.Error("non-/v1/ route got a stage breakdown")
 	}
 }
