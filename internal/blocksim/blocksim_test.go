@@ -71,7 +71,7 @@ func TestAgreesWithFluidModel(t *testing.T) {
 	fluid, err := simhost.RunFluid(resources, []simhost.Transfer{
 		{ID: "a", Bytes: 256 * units.MiB, Usages: usagesOf(0)},
 		{ID: "b", Bytes: 256 * units.MiB, Usages: usagesOf(1)},
-	})
+	}, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -252,10 +252,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// runnerSlots is the number of per-worker runner slots (trace tracks 0 to
-// runnerSlots use the sharded path; beyond that the freelist takes over).
-const runnerSlots = 64
-
 // Characterizer runs Algorithm 1 on a system.
 type Characterizer struct {
 	sys   *numa.System
@@ -264,19 +260,13 @@ type Characterizer struct {
 	retry resilience.RetryPolicy
 
 	// Runner pool. Building a runner is the expensive part of a sweep —
-	// resource table, fluid session, private host — so runners are pooled
+	// resource table, copy routes, private host — so runners are pooled
 	// across sweeps and across CharacterizeAll calls instead of rebuilt per
 	// worker. Each runner owns a private numa.System over the shared machine:
 	// measured values never read host allocator state (memcpy buffer
 	// placement is explicit), and private hosts mean parallel workers never
-	// serialize on one allocator mutex.
-	//
-	// The pool is sharded per worker: slot[tid] parks the runner worker tid
-	// last used, so getRunner/putRunner are a single atomic swap mid-sweep
-	// (no global mutex) and each worker keeps hitting its own runner's warm
-	// caches. The mutex-guarded freelist only backs the slots up — slot
-	// collisions and out-of-range tids.
-	slot [runnerSlots + 1]atomic.Pointer[fio.Runner]
+	// serialize on one allocator mutex. A worker takes a runner once per
+	// sweep, so the freelist mutex is off the per-cell path.
 	mu   sync.Mutex
 	idle []*fio.Runner
 
@@ -323,14 +313,7 @@ func NewCharacterizer(sys *numa.System, cfg Config) (*Characterizer, error) {
 
 // getRunner pops a pooled measurement runner (or builds one on a pool
 // miss), rebound to the given trace track. Return it with putRunner.
-// Worker tid's own slot is tried first — one atomic swap, warm caches.
 func (c *Characterizer) getRunner(tid int) (*fio.Runner, error) {
-	if tid >= 0 && tid <= runnerSlots {
-		if runner := c.slot[tid].Swap(nil); runner != nil {
-			runner.Tracer, runner.TraceTID = c.cfg.Tracer, tid
-			return runner, nil
-		}
-	}
 	c.mu.Lock()
 	if n := len(c.idle); n > 0 {
 		runner := c.idle[n-1]
@@ -346,8 +329,6 @@ func (c *Characterizer) getRunner(tid int) (*fio.Runner, error) {
 	}
 	runner := fio.NewRunner(sys)
 	runner.Sigma = c.cfg.Sigma
-	// The sweep reads only the aggregate; skip the per-phase timeline.
-	runner.LeanTimeline = true
 	if err := runner.SetFaults(c.inj); err != nil {
 		return nil, err
 	}
@@ -355,13 +336,9 @@ func (c *Characterizer) getRunner(tid int) (*fio.Runner, error) {
 	return runner, nil
 }
 
-// putRunner parks a runner for reuse by later cells and sweeps, preferring
-// the worker's own slot.
-func (c *Characterizer) putRunner(runner *fio.Runner, tid int) {
+// putRunner parks a runner for reuse by later cells and sweeps.
+func (c *Characterizer) putRunner(runner *fio.Runner) {
 	runner.Tracer = nil
-	if tid >= 0 && tid <= runnerSlots && c.slot[tid].CompareAndSwap(nil, runner) {
-		return
-	}
 	c.mu.Lock()
 	c.idle = append(c.idle, runner)
 	c.mu.Unlock()
@@ -559,7 +536,7 @@ func (c *Characterizer) measureCells(target topology.NodeID, mode Mode, threads 
 		if err != nil {
 			return nil, sum, err
 		}
-		defer c.putRunner(runner, tid)
+		defer c.putRunner(runner)
 		sc := c.newScratch(target, threads)
 		for i, n := range nodes {
 			for rep := 0; rep < reps; rep++ {
@@ -609,7 +586,7 @@ func (c *Characterizer) measureCells(target topology.NodeID, mode Mode, threads 
 				fail(err)
 				return
 			}
-			defer c.putRunner(runner, wtid)
+			defer c.putRunner(runner)
 			sc := c.newScratch(target, threads)
 			for {
 				end := next.Add(chunk)

@@ -49,7 +49,7 @@ func (l *Lab) Validation() (*CrossValResult, error) {
 		})
 	}
 
-	fluid, err := simhost.RunFluid(resources, fluidTr)
+	fluid, err := simhost.RunFluid(resources, fluidTr, nil, 0)
 	if err != nil {
 		return nil, err
 	}

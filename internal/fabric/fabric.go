@@ -245,17 +245,6 @@ type Solver struct {
 	// parkScratch stages the usage slices of batch-removed flows until
 	// RemoveFlows re-parks them past the compacted tail.
 	parkScratch [][]indexedUsage
-
-	// Flow-table checkpoint (Checkpoint/RestoreCheckpoint): a deep copy of
-	// the registered flows with already index-resolved usages, so a caller
-	// that re-runs the exact same flow set (the fluid executor repeating a
-	// measurement) skips re-validating and re-resolving every flow through
-	// AddFlow. Invalidated when a new resource registers — that reshuffles
-	// the rank order the checkpointed usage lists were sorted by.
-	ckptValid   bool
-	ckptFlows   []indexedFlow
-	ckptUsages  []indexedUsage // arena backing ckptFlows' usage slices
-	ckptPending int
 }
 
 // NewSolver returns an empty solver.
@@ -279,9 +268,6 @@ func (s *Solver) SetResource(r Resource) error {
 	i := len(s.resList)
 	s.resList = append(s.resList, r)
 	s.resIndex[r.ID] = i
-	// A new resource reshuffles the rank order checkpointed usage lists
-	// were sorted by; drop the snapshot rather than re-sort it.
-	s.ckptValid = false
 	// Keep the ID-sorted index order incrementally (insertion into a
 	// sorted slice; resource counts are small), and refresh the rank table
 	// so flow registration can order usages by integer compare.
@@ -531,73 +517,6 @@ func (s *Solver) RemoveFlowsAt(idx []int32) {
 	}
 	s.parkScratch = park[:0]
 	s.flows = s.flows[:w]
-}
-
-// Checkpoint snapshots the current flow table (IDs, demands and resolved
-// usages). A later RestoreCheckpoint brings the exact same table back
-// without going through AddFlow's validation, resolution and index
-// maintenance — the fast path for callers that run the same flow set to
-// completion over and over. The snapshot stays valid across Reset and
-// removals; registering a new resource discards it.
-func (s *Solver) Checkpoint() {
-	s.ckptFlows = append(s.ckptFlows[:0], s.flows...)
-	total := 0
-	for i := range s.flows {
-		total += len(s.flows[i].usages)
-	}
-	if cap(s.ckptUsages) < total {
-		s.ckptUsages = make([]indexedUsage, 0, total)
-	}
-	arena := s.ckptUsages[:0]
-	for i := range s.flows {
-		arena = append(arena, s.flows[i].usages...)
-	}
-	s.ckptUsages = arena
-	off := 0
-	for i := range s.ckptFlows {
-		n := len(s.ckptFlows[i].usages)
-		s.ckptFlows[i].usages = arena[off : off+n : off+n]
-		off += n
-	}
-	s.ckptPending = 0
-	for i := range s.ckptFlows {
-		if s.ckptFlows[i].bn == bnUnsolved {
-			s.ckptPending++
-		}
-	}
-	s.ckptValid = true
-}
-
-// RestoreCheckpoint replaces an empty flow table with the last Checkpoint
-// and reports whether it did. It refuses (returning false, leaving the
-// solver untouched) when there is no valid checkpoint or flows are still
-// registered — callers fall back to Reset plus AddFlow. The restored table
-// re-solves from scratch on the next Solve, which the blob fast path makes
-// a single labeling-free water-fill.
-func (s *Solver) RestoreCheckpoint() bool {
-	if !s.ckptValid || len(s.flows) != 0 {
-		return false
-	}
-	n := len(s.ckptFlows)
-	if cap(s.flows) < n {
-		return false // table shrank underneath us; rebuild via AddFlow
-	}
-	// Slots [0, n) past the current zero length still park the usage slices
-	// recycled by earlier removals; refill them from the checkpoint arena.
-	s.flows = s.flows[:n]
-	for i := range s.ckptFlows {
-		src := &s.ckptFlows[i]
-		u := append(s.flows[i].usages[:0], src.usages...)
-		f := *src
-		f.usages = u
-		s.flows[i] = f
-	}
-	s.pendingAdds = s.ckptPending
-	s.solved = false
-	s.labelsValid = false
-	s.idxStale = true // rebuilt lazily; restored flows never touched the map
-	s.clearDirty()
-	return true
 }
 
 // NumFlows returns the number of registered flows.

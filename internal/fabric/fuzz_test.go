@@ -23,7 +23,7 @@ func FuzzIncrementalOps(f *testing.F) {
 		opSolve   = 2
 		opRetune  = 3 // + resource selector, factor selector
 		opBatch   = 4 // + count selector, count index selectors (RemoveFlowsAt)
-		opCkpt    = 5 // checkpoint, drop everything, restore
+		opRebuild = 5 // Reset, then re-add every flow in order
 		opModulus = 6
 	)
 	f.Add([]byte{opAdd, 0, 7, 0, opAdd, 3, 7, 0, opSolve, opRemove, 0, opSolve})
@@ -40,10 +40,10 @@ func FuzzIncrementalOps(f *testing.F) {
 		opAdd, 0, 7, 0, opAdd, 1, 7, 0, opAdd, 2, 7, 0, opAdd, 3, 7, 0,
 		opSolve, opBatch, 2, 0, 2, opSolve, opBatch, 2, 0, 1, opSolve,
 	})
-	// Checkpoint/restore round-trips: solved and unsolved tables, plus a
-	// retune between restore cycles.
-	f.Add([]byte{opAdd, 0, 7, 0, opAdd, 5, 2, 1, opSolve, opCkpt, opSolve, opCkpt, opRetune, 3, 2, opSolve})
-	f.Add([]byte{opAdd, 2, 2, 0, opCkpt, opSolve, opRemove, 0, opSolve})
+	// Reset-and-re-add round trips: solved and unsolved tables, plus a
+	// retune between rebuilds.
+	f.Add([]byte{opAdd, 0, 7, 0, opAdd, 5, 2, 1, opSolve, opRebuild, opSolve, opRebuild, opRetune, 3, 2, opSolve})
+	f.Add([]byte{opAdd, 2, 2, 0, opRebuild, opSolve, opRemove, 0, opSolve})
 
 	machine := topology.DL585G7()
 	nodes := machine.NodeIDs()
@@ -111,9 +111,9 @@ func FuzzIncrementalOps(f *testing.F) {
 				}
 				h.removeBatch(idx)
 				pc += 2 + k
-			case opCkpt:
+			case opRebuild:
 				if len(h.flows) > 0 {
-					h.checkpointCycle(t)
+					h.rebuildCycle(t)
 				}
 				pc++
 			}

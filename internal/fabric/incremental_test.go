@@ -121,23 +121,17 @@ func (h *incrementalHarness) removeBatch(idx []int32) {
 	h.flows = h.flows[:w]
 }
 
-// checkpointCycle snapshots the flow table, batch-removes every flow, then
-// restores the snapshot — the fluid executor's repeat pattern. The shadow
-// list is unchanged, so the next comparison checks that a restored table
-// solves bit-identically to a fresh build.
-func (h *incrementalHarness) checkpointCycle(t testing.TB) {
+// rebuildCycle drops every flow with Reset and re-adds the same flows in
+// order — the prologue of every fluid run on a pooled solver. The shadow
+// list is unchanged, so the next comparison checks that a table rebuilt on
+// a solver with history solves bit-identically to a fresh build.
+func (h *incrementalHarness) rebuildCycle(t testing.TB) {
 	t.Helper()
-	h.inc.Checkpoint()
-	all := make([]int32, h.inc.NumFlows())
-	for i := range all {
-		all[i] = int32(i)
-	}
-	h.inc.RemoveFlowsAt(all)
-	if h.inc.NumFlows() != 0 {
-		t.Fatalf("RemoveFlowsAt(all): %d flows left", h.inc.NumFlows())
-	}
-	if !h.inc.RestoreCheckpoint() {
-		t.Fatal("RestoreCheckpoint refused after full removal")
+	h.inc.Reset()
+	for _, f := range h.flows {
+		if err := h.inc.AddFlow(f); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -205,8 +199,8 @@ func TestIncrementalMatchesFreshRandomOps(t *testing.T) {
 					ri := rng.Intn(len(h.resources))
 					factors := []float64{0.5, 0.8, 1.25, 2}
 					h.scaleResource(t, ri, factors[rng.Intn(len(factors))])
-				case op < 9: // checkpoint, drop everything, restore
-					h.checkpointCycle(t)
+				case op < 9: // Reset, then re-add every flow in order
+					h.rebuildCycle(t)
 				default: // solve and compare against a fresh build
 					assertSameAllocation(t, fmt.Sprintf("%s step %d", name, step), h.inc, h.fresh(t))
 				}
@@ -321,77 +315,36 @@ func TestIncrementalDisjointComponents(t *testing.T) {
 	}
 }
 
-// TestCheckpointRestoreMatchesRebuild drives the fluid executor's repeat
-// pattern at the solver level: register a flow set, checkpoint, run it down
-// to empty in phases, restore, and require the restored table to solve
-// bit-identically to a from-scratch build. Also pins the invalidation rules:
-// by-ID lookups still work on a restored table (the lazily rebuilt index
-// must shed entries from before the restore), and registering a new
-// resource discards the snapshot.
-func TestCheckpointRestoreMatchesRebuild(t *testing.T) {
+// TestByIDLookupAfterBatchRemoval: RemoveFlowsAt compacts the flow table
+// and leaves the by-ID index stale, to be rebuilt on the next lookup. That
+// rebuild must see the compacted positions: RemoveFlow by ID removes the
+// right flow, and a duplicate AddFlow of a live ID still errors.
+func TestByIDLookupAfterBatchRemoval(t *testing.T) {
 	m := topology.DL585G7()
 	h := newIncrementalHarness(t, MachineResources(m))
-	nodes := m.NodeIDs()
-	for _, n := range nodes {
+	for _, n := range m.NodeIDs() {
 		usages, err := CopyFlowUsages(m, n, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
 		h.add(t, Flow{Usages: usages})
 	}
-	h.inc.Checkpoint()
+	assertSameAllocation(t, "built", h.inc, h.fresh(t))
 
-	// Run the set down to empty in batches, solving at each phase boundary.
-	for h.inc.NumFlows() > 0 {
-		assertSameAllocation(t, "drain", h.inc, h.fresh(t))
-		drop := []int32{0}
-		if h.inc.NumFlows() > 2 {
-			drop = append(drop, 2)
-		}
-		h.removeBatch(drop[:min(len(drop), h.inc.NumFlows())])
-	}
-
-	if !h.inc.RestoreCheckpoint() {
-		t.Fatal("RestoreCheckpoint refused on empty solver")
-	}
-	// Rebuild the shadow: the restored table holds f0..f7 again.
-	h.flows = h.flows[:0]
-	h.nextID = 0
-	for _, n := range nodes {
-		usages, err := CopyFlowUsages(m, n, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f := Flow{ID: fmt.Sprintf("f%d", h.nextID), Usages: usages}
-		h.nextID++
-		h.flows = append(h.flows, f)
-	}
-	assertSameAllocation(t, "restored", h.inc, h.fresh(t))
-
-	// The restored table's by-ID index rebuilds cleanly: the middle flow is
-	// found, removed, and a duplicate add of a live ID still errors.
+	// Dropping f0 and f2 shifts every later flow down: f3 moves to index 1.
+	h.removeBatch([]int32{0, 2})
+	assertSameAllocation(t, "compacted", h.inc, h.fresh(t))
 	if !h.inc.RemoveFlow("f3") {
-		t.Fatal("RemoveFlow(f3) = false on restored table")
+		t.Fatal("RemoveFlow(f3) = false after compaction")
 	}
-	h.flows = append(h.flows[:3], h.flows[4:]...)
+	if h.flows[1].ID != "f3" {
+		t.Fatalf("shadow index 1 holds %q, want f3", h.flows[1].ID)
+	}
+	h.flows = append(h.flows[:1], h.flows[2:]...)
 	if err := h.inc.AddFlow(Flow{ID: "f5", Usages: h.flows[0].Usages}); err == nil {
-		t.Fatal("duplicate AddFlow(f5) succeeded on restored table")
+		t.Fatal("duplicate AddFlow(f5) succeeded after compaction")
 	}
-	assertSameAllocation(t, "restored+removed", h.inc, h.fresh(t))
-
-	// Restore refuses while flows are registered...
-	if h.inc.RestoreCheckpoint() {
-		t.Fatal("RestoreCheckpoint succeeded on non-empty solver")
-	}
-	// ...and after a new resource registers (rank order changed).
-	h.inc.Checkpoint()
-	h.inc.Reset()
-	if err := h.inc.SetResource(Resource{ID: ResourceID("zz:new"), Capacity: units.Gbps}); err != nil {
-		t.Fatal(err)
-	}
-	if h.inc.RestoreCheckpoint() {
-		t.Fatal("RestoreCheckpoint succeeded after new resource registration")
-	}
+	assertSameAllocation(t, "compacted+removed", h.inc, h.fresh(t))
 }
 
 // TestIncrementalSteadyStateZeroAlloc: once grown, the add/remove/solve
@@ -453,7 +406,7 @@ func TestIncrementalSteadyStateZeroAlloc(t *testing.T) {
 		t.Errorf("remove/re-add/solve churn: %v allocs/op, want 0", allocs)
 	}
 
-	// Full re-level via Reset + re-add (the fluid executor's run prologue).
+	// Full re-level via Reset + re-add (every fluid run's prologue).
 	if allocs := testing.AllocsPerRun(100, func() {
 		s.Reset()
 		for _, f := range flows {

@@ -37,6 +37,5 @@ func (s *Solver) clearAll() {
 	clear(s.resIndex)
 	s.sorted = s.sorted[:0]
 	s.rank = s.rank[:0]
-	s.ckptValid = false // checkpointed usages index a dead resource table
 	s.Reset()
 }

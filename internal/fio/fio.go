@@ -118,9 +118,9 @@ type Report struct {
 }
 
 // Runner executes fio jobs on a system. It caches the per-machine flow
-// plumbing (base resource table, copy routes, a reusable fluid session), so
-// repeated Runs — the characterization sweep's inner loop — skip the
-// rebuild. A Runner is not safe for concurrent use; spawn one per worker.
+// plumbing (base resource table, copy routes, instance names), so repeated
+// runs — the characterization sweep's inner loop — skip the rebuild. A
+// Runner is not safe for concurrent use; spawn one per worker.
 type Runner struct {
 	sys   *numa.System
 	specs map[string]device.Spec
@@ -131,18 +131,10 @@ type Runner struct {
 	// shapes no results.
 	Tracer   *telemetry.Tracer
 	TraceTID int
-	// LeanTimeline skips recording the Report.Timeline for device-free
-	// (memcpy) runs. Bandwidths, durations and latencies are unchanged; the
-	// characterization sweep turns this on because it only reads aggregates
-	// and the per-phase maps dominate a run's allocations.
-	LeanTimeline bool
 
 	// baseRes is the machine + per-node core resource table, invariant
 	// across runs (capacity-clamped so appends cannot alias it).
 	baseRes []fabric.Resource
-	// memSession reuses one solver for device-free runs, whose resource set
-	// is exactly baseRes every time.
-	memSession *simhost.FluidSession
 	// copyCache memoizes the usages and path latency of memcpy flows per
 	// (src, dst) node pair.
 	copyCache map[copyKey]copyEntry
@@ -154,11 +146,12 @@ type Runner struct {
 	faults    *faults.Injector
 	linkScale map[fabric.ResourceID]float64
 
-	// insts and transfers are per-run scratch reused across runs, and names
-	// memoizes instance IDs and jitter keys per job shape, so the
+	// insts, transfers and rates are per-run scratch reused across runs,
+	// and names memoizes instance IDs and jitter keys per job shape, so the
 	// characterization sweep's inner loop stays off the allocator.
 	insts     []instance
 	transfers []simhost.Transfer
+	rates     []units.Bandwidth
 	names     map[nameKey]*instNames
 }
 
@@ -181,11 +174,11 @@ func (r *Runner) SetSpec(s device.Spec) { r.specs[s.Name] = s }
 
 // SetFaults puts the runner under a fault plan (nil clears it), resolving
 // the plan's link faults against the machine up front — an unknown link
-// pair errors here, not mid-measurement. The cached resource table and
-// fluid session are dropped so the degraded capacities take effect.
+// pair errors here, not mid-measurement. The cached resource table is
+// dropped so the degraded capacities take effect.
 func (r *Runner) SetFaults(inj *faults.Injector) error {
 	r.faults, r.linkScale = nil, nil
-	r.baseRes, r.memSession = nil, nil
+	r.baseRes = nil
 	if inj == nil {
 		return nil
 	}
@@ -212,21 +205,15 @@ type instance struct {
 
 // Run executes the jobs concurrently to completion and reports bandwidths.
 func (r *Runner) Run(jobs []Job) (*Report, error) {
-	return r.RunContext(context.Background(), jobs)
-}
-
-// RunContext is Run with a context gating injected hangs: a job the fault
-// plan hangs blocks until ctx is done and returns its cause (typically
-// context.DeadlineExceeded — callers set per-measurement timeouts). The
-// simulated engines themselves complete instantly, so without a fault plan
-// the context is never consulted and Run and RunContext are identical.
-func (r *Runner) RunContext(ctx context.Context, jobs []Job) (*Report, error) {
-	fluid, err := r.runFluid(ctx, jobs)
+	resources, err := r.prepare(context.Background(), jobs)
 	defer r.freeBuffers()
 	if err != nil {
 		return nil, err
 	}
-	m := r.sys.Machine()
+	fluid, err := simhost.RunFluid(resources, r.transfers, r.Tracer, r.TraceTID)
+	if err != nil {
+		return nil, err
+	}
 	insts := r.insts
 	rep := &Report{
 		Instances: make([]InstanceResult, 0, len(insts)),
@@ -236,13 +223,7 @@ func (r *Runner) RunContext(ctx context.Context, jobs []Job) (*Report, error) {
 	for i := range insts {
 		in := &insts[i]
 		res := fluid.Transfers[in.id]
-		jitter := simhost.Jitter(in.jitterKey, r.effectiveSigma(in.job))
-		if r.faults != nil {
-			// Outliers and extra noise, keyed per job: every instance of a
-			// measurement is disturbed together, producing the clean
-			// whole-measurement outliers the MAD rejection is built for.
-			jitter *= r.faults.SampleFactor(m.Name + "/" + in.job.Name)
-		}
+		jitter := r.jitter(in)
 		ir := InstanceResult{
 			Job:        in.job.Name,
 			Instance:   in.idx,
@@ -270,37 +251,53 @@ func (r *Runner) RunContext(ctx context.Context, jobs []Job) (*Report, error) {
 	return rep, nil
 }
 
-// RunAggregate is RunContext reduced to the steady aggregate: same jobs,
-// same jitter and fault draws, same float accumulation order — but no
-// Report, per-job map, latency stats or sort. The characterization sweep's
-// inner loop reads only the aggregate, and this path keeps a measurement
-// cell allocation-free.
+// RunAggregate is Run reduced to the steady aggregate, Report.Aggregate bit
+// for bit: the same jobs, jitter and fault draws and float accumulation
+// order, from one steady-state solve instead of a timeline. The
+// characterization sweep's inner loop reads only the aggregate, and this
+// path keeps a measurement cell allocation-free. ctx gates injected hangs:
+// a job the fault plan hangs blocks until ctx is done and returns its cause
+// (typically context.DeadlineExceeded — callers set per-measurement
+// timeouts).
 func (r *Runner) RunAggregate(ctx context.Context, jobs []Job) (units.Bandwidth, error) {
-	fluid, err := r.runFluid(ctx, jobs)
+	resources, err := r.prepare(ctx, jobs)
 	defer r.freeBuffers()
 	if err != nil {
 		return 0, err
 	}
-	m := r.sys.Machine()
+	n := len(r.transfers)
+	if cap(r.rates) < n {
+		r.rates = make([]units.Bandwidth, n)
+	}
+	rates := r.rates[:n]
+	if err := simhost.SteadyRates(resources, r.transfers, rates, r.Tracer, r.TraceTID); err != nil {
+		return 0, err
+	}
 	var agg units.Bandwidth
 	for i := range r.insts {
-		in := &r.insts[i]
-		res := fluid.Transfers[in.id]
-		jitter := simhost.Jitter(in.jitterKey, r.effectiveSigma(in.job))
-		if r.faults != nil {
-			jitter *= r.faults.SampleFactor(m.Name + "/" + in.job.Name)
-		}
-		agg += units.Bandwidth(float64(res.InitialRate) * jitter)
+		agg += units.Bandwidth(float64(rates[i]) * r.jitter(&r.insts[i]))
 	}
 	return agg, nil
 }
 
-// runFluid expands jobs into r.insts (reused scratch), allocates buffers,
-// builds the resource table and transfers, and runs the fluid solve. The
-// caller owns freeing the buffers (freeBuffers), including on error. For
-// lean device-free runs the returned result is session-owned and only
-// valid until the next run.
-func (r *Runner) runFluid(ctx context.Context, jobs []Job) (*simhost.SessionResult, error) {
+// jitter is an instance's reporting noise factor: its keyed draw, times
+// the fault plan's sample factor when one is set.
+func (r *Runner) jitter(in *instance) float64 {
+	jitter := simhost.Jitter(in.jitterKey, r.effectiveSigma(in.job))
+	if r.faults != nil {
+		// Outliers and extra noise, keyed per job: every instance of a
+		// measurement is disturbed together, producing the clean
+		// whole-measurement outliers the MAD rejection is built for.
+		jitter *= r.faults.SampleFactor(r.sys.Machine().Name + "/" + in.job.Name)
+	}
+	return jitter
+}
+
+// prepare expands jobs into r.insts (reused scratch), allocates their
+// buffers and builds the resource table and r.transfers, both in instance
+// order: transfer i belongs to instance i. The caller frees the buffers
+// (freeBuffers), including on error. ctx gates injected hangs.
+func (r *Runner) prepare(ctx context.Context, jobs []Job) ([]fabric.Resource, error) {
 	if len(jobs) == 0 {
 		return nil, fmt.Errorf("fio: no jobs")
 	}
@@ -362,7 +359,7 @@ func (r *Runner) runFluid(ctx context.Context, jobs []Job) (*simhost.SessionResu
 		}
 	}
 
-	resources, hasDevice, err := r.buildResources(r.insts, runKey)
+	resources, err := r.buildResources(r.insts, runKey)
 	if err != nil {
 		return nil, err
 	}
@@ -374,29 +371,10 @@ func (r *Runner) runFluid(ctx context.Context, jobs []Job) (*simhost.SessionResu
 		}
 		r.transfers = append(r.transfers, tr)
 	}
-
-	if hasDevice {
-		return simhost.RunFluidTraced(resources, r.transfers, r.Tracer, r.TraceTID)
-	}
-	// Device-free runs (the memcpy characterization path) always solve
-	// over exactly the base resource table — reuse one session.
-	if r.memSession == nil {
-		r.memSession, err = simhost.NewFluidSession(resources)
-		if err != nil {
-			return nil, err
-		}
-	}
-	r.memSession.SetTracer(r.Tracer, r.TraceTID)
-	r.memSession.SetLeanTimeline(r.LeanTimeline)
-	if r.LeanTimeline {
-		// Lean callers only read scalar results before the next run, so the
-		// session-owned result avoids a SessionResult per measurement.
-		return r.memSession.RunShared(r.transfers)
-	}
-	return r.memSession.Run(r.transfers)
+	return resources, nil
 }
 
-// freeBuffers releases every buffer the last runFluid allocated.
+// freeBuffers releases every buffer the last prepare allocated.
 func (r *Runner) freeBuffers() {
 	for i := range r.insts {
 		if b := r.insts[i].buffer; b != nil {
@@ -563,22 +541,20 @@ func (r *Runner) baseResources() []fabric.Resource {
 }
 
 // buildResources returns the base table plus one DMA-engine resource per
-// (device, engine) pair in use, and reports whether any device instance is
-// present. Under a fault plan the engine capacity is scaled per (device,
-// run) — or the run fails outright when the plan takes the device offline.
-func (r *Runner) buildResources(insts []instance, runKey string) ([]fabric.Resource, bool, error) {
+// (device, engine) pair in use. Under a fault plan the engine capacity is
+// scaled per (device, run) — or the run fails outright when the plan takes
+// the device offline.
+func (r *Runner) buildResources(insts []instance, runKey string) ([]fabric.Resource, error) {
 	resources := r.baseResources()
-	hasDevice := false
 	var seen map[fabric.ResourceID]bool
 	for i := range insts {
 		in := &insts[i]
 		if !in.isDevice {
 			continue
 		}
-		hasDevice = true
 		spec, err := r.spec(in.job.Engine)
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		id := fabric.DeviceResource(in.devID, spec.Name)
 		if seen == nil {
@@ -589,7 +565,7 @@ func (r *Runner) buildResources(insts []instance, runKey string) ([]fabric.Resou
 			if r.faults != nil {
 				f, err := r.faults.DeviceFactor(in.devID, runKey)
 				if err != nil {
-					return nil, false, fmt.Errorf("fio: job %q: %w", in.job.Name, err)
+					return nil, fmt.Errorf("fio: job %q: %w", in.job.Name, err)
 				}
 				capacity = units.Bandwidth(float64(capacity) * f)
 			}
@@ -597,7 +573,7 @@ func (r *Runner) buildResources(insts []instance, runKey string) ([]fabric.Resou
 			seen[id] = true
 		}
 	}
-	return resources, hasDevice, nil
+	return resources, nil
 }
 
 // buildTransfer turns an instance into a fluid transfer with its resource

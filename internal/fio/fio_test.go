@@ -1,6 +1,7 @@
 package fio
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -877,4 +878,65 @@ func TestEnginesList(t *testing.T) {
 			t.Errorf("engine %s failed: %v", e, err)
 		}
 	}
+}
+
+// TestRunAggregateMatchesReport: the sweep's aggregate-only path must
+// equal Run's Report.Aggregate bit for bit — same jitter draws, same
+// instance-order float sum — on every profile, for every (target, source)
+// pair, at 1, 4 and 12 copy threads (past ten instances the transfer IDs
+// sort differently from instance order), alone and beside a second memcpy
+// job copying the other way, whose name sorts first.
+func TestRunAggregateMatchesReport(t *testing.T) {
+	profiles := []string{"dl585g7", "dl585g7-dualport", "magny-a", "magny-b", "magny-c",
+		"magny-d", "intel-4s4n", "amd-4s8n", "amd-8s8n", "hp-blade32"}
+	checks := 0
+	for _, name := range profiles {
+		m, err := topology.ProfileByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, err := numa.NewSystem(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := NewRunner(sys) // default jitter: the draws must match too
+		nodes := m.NodeIDs()
+		for _, target := range nodes {
+			for _, src := range nodes {
+				for _, threads := range []int{1, 4, 12} {
+					jobs := []Job{{
+						Name:    fmt.Sprintf("cell-t%d-n%d", int(target), int(src)),
+						Engine:  device.EngineMemcpy,
+						Node:    target,
+						NumJobs: threads,
+						SrcNode: nid(int(src)),
+						DstNode: nid(int(target)),
+					}, {
+						Name:    "back",
+						Engine:  device.EngineMemcpy,
+						Node:    src,
+						NumJobs: 2,
+						SrcNode: nid(int(target)),
+						DstNode: nid(int(src)),
+					}}
+					for _, js := range [][]Job{jobs[:1], jobs} {
+						agg, err := r.RunAggregate(context.Background(), js)
+						if err != nil {
+							t.Fatal(err)
+						}
+						rep, err := r.Run(js)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if math.Float64bits(float64(agg)) != math.Float64bits(float64(rep.Aggregate)) {
+							t.Fatalf("%s %d->%d x%d (%d jobs): RunAggregate %v != Report.Aggregate %v",
+								name, int(src), int(target), threads, len(js), agg, rep.Aggregate)
+						}
+						checks++
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d aggregate checks", checks)
 }

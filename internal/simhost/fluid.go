@@ -3,7 +3,8 @@ package simhost
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"numaio/internal/fabric"
@@ -45,7 +46,7 @@ type SessionResult struct {
 	SteadyAggregate units.Bandwidth
 	// Timeline records every constant-rate phase of the run, including
 	// per-resource utilization — the observability layer for contention
-	// analysis. Empty when the session runs lean (SetLeanTimeline).
+	// analysis.
 	Timeline Timeline
 }
 
@@ -57,39 +58,27 @@ type phaseSpan struct {
 	ratesN, utilN, compN int32
 }
 
-// FluidSession runs fluid sessions over a fixed resource set, reusing one
-// solver (and its registered resource table) across runs plus the per-run
-// bookkeeping buffers, so steady-state runs stay off the allocator. Callers
-// with a stable fabric — the fio runner re-solving the same machine for
-// every measurement cell — avoid re-registering every resource per run. A
-// FluidSession is not safe for concurrent use.
-type FluidSession struct {
+// fluidSession is the pooled state behind RunFluid and SteadyRates: one
+// solver with its registered resource table, plus per-run scratch, so
+// steady-state runs stay off the allocator. A session serves one run at a
+// time; runs take one from sessionPool and put it back.
+type fluidSession struct {
 	s *fabric.Solver
-
-	// tr, when set, records one span per Run plus one per constant-rate
-	// phase (category "fluid") on track tid, so solver work nests under the
-	// measurement cell that triggered it. Tracing shapes no results.
-	tr  *telemetry.Tracer
-	tid int
-
-	// lean skips the phase-by-phase Timeline (its entries dominate the cost
-	// of a run); rates, durations and aggregates are unaffected. The
-	// characterization sweep, which only reads aggregates, runs lean.
-	lean bool
-
-	// resSnap records the resource table registered into s by RunFluidTraced,
-	// so a pooled session whose next caller passes the same table (ID and
-	// capacity, compared cheaply — the IDs are interned) skips re-registering
-	// all of it. Empty for sessions built via NewFluidSession.
+	// resSnap records the resource table registered into s, so a session
+	// whose next caller passes the same table (ID and capacity, compared
+	// cheaply — the IDs are interned) skips re-registering all of it.
 	resSnap []fabric.Resource
 
-	// Per-run scratch, reused across Run calls.
-	ord       []Transfer
-	remaining []float64 // bits left per ord index
-	rate      []float64 // per-phase rate per ord index
+	// ord lists the run's transfer indices in ascending ID order; once
+	// register returns, solver flow k is transfers[ord[k]].
+	ord []int32
+
+	// Per-run scratch, indexed like ord.
+	remaining []float64 // bits left
+	rate      []float64 // rate in the current phase
 	done      []bool
-	results   []TransferResult // per ord index
-	dropIdx   []int32          // per-phase completed flow indices
+	results   []TransferResult
+	dropIdx   []int32 // per-phase completed flow indices
 
 	// Timeline arenas: phase records accumulate here during a run and are
 	// copied out in one exact-size block per kind, so a run's timeline
@@ -98,110 +87,36 @@ type FluidSession struct {
 	rateArena []TransferRate
 	utilArena []ResourceUtil
 	compArena []string
-
-	// out is the session-owned result served by RunShared; its Transfers
-	// map is cleared and refilled per run instead of reallocated.
-	out SessionResult
-
-	// raw snapshots the caller's transfer slice (input order) from the last
-	// run that built the solver's flow table. When the next run passes an
-	// identical slice — the repeat pattern of every measurement loop — Run
-	// skips validation, sorting and flow registration entirely and restores
-	// the solver's checkpointed table instead.
-	raw []Transfer
 }
 
-// SetTracer attaches (or, with nil, detaches) a tracer; phase spans land
-// on track tid.
-func (fs *FluidSession) SetTracer(tr *telemetry.Tracer, tid int) {
-	fs.tr, fs.tid = tr, tid
-}
+// sessionPool recycles fluid sessions, keeping their solvers, registered
+// tables and scratch buffers across runs.
+var sessionPool = sync.Pool{New: func() any { return &fluidSession{} }}
 
-// SetLeanTimeline toggles lean mode: when on, Run skips recording the
-// phase-by-phase Timeline. All other results are identical.
-func (fs *FluidSession) SetLeanTimeline(lean bool) { fs.lean = lean }
-
-// NewFluidSession registers the resources once and returns the reusable
-// session.
-func NewFluidSession(resources []fabric.Resource) (*FluidSession, error) {
-	s := fabric.NewSolver()
+// acquireSession takes a pooled session whose solver holds exactly the
+// given resource table, registering the table only when it differs from
+// the one the session last held. Return the session to sessionPool.
+func acquireSession(resources []fabric.Resource) (*fluidSession, error) {
+	fs := sessionPool.Get().(*fluidSession)
+	if resourcesMatch(fs.resSnap, resources) {
+		return fs, nil
+	}
+	if fs.s != nil {
+		fabric.ReleaseSolver(fs.s)
+		fs.s = nil
+	}
+	s := fabric.AcquireSolver()
 	for _, r := range resources {
 		if err := s.SetResource(r); err != nil {
+			fabric.ReleaseSolver(s)
+			fs.resSnap = fs.resSnap[:0]
+			sessionPool.Put(fs)
 			return nil, err
 		}
 	}
-	return &FluidSession{s: s}, nil
-}
-
-// sessionPool recycles the one-shot sessions behind RunFluid, keeping their
-// scratch buffers (the solver itself comes from the fabric pool).
-var sessionPool = sync.Pool{New: func() any { return &FluidSession{} }}
-
-// RunFluid advances the given transfers through a max-min fair fabric until
-// all complete, re-solving the allocation whenever a transfer finishes
-// (fluid-flow approximation of the real time-shared hardware).
-//
-// The solver is built once — resources registered and flows added in sorted
-// ID order — and completed flows are removed between phases; the solver
-// re-levels only the components those removals touched. Ordered removal
-// keeps the remaining flows in sorted order, so every phase solves the
-// exact same problem (same float accumulation order) a per-phase rebuild
-// would.
-func RunFluid(resources []fabric.Resource, transfers []Transfer) (*SessionResult, error) {
-	return RunFluidTraced(resources, transfers, nil, 0)
-}
-
-// RunFluidTraced is RunFluid with per-run and per-phase spans recorded on
-// the tracer (nil means no tracing).
-func RunFluidTraced(resources []fabric.Resource, transfers []Transfer, tr *telemetry.Tracer, tid int) (*SessionResult, error) {
-	if len(transfers) == 0 {
-		return &SessionResult{Transfers: map[string]TransferResult{}}, nil
-	}
-	fs := sessionPool.Get().(*FluidSession)
-	if !resourcesMatch(fs.resSnap, resources) {
-		if fs.s != nil {
-			fabric.ReleaseSolver(fs.s)
-			fs.s = nil
-		}
-		s := fabric.AcquireSolver()
-		for _, r := range resources {
-			if err := s.SetResource(r); err != nil {
-				fabric.ReleaseSolver(s)
-				fs.resSnap = fs.resSnap[:0]
-				sessionPool.Put(fs)
-				return nil, err
-			}
-		}
-		fs.s = s
-		fs.resSnap = append(fs.resSnap[:0], resources...)
-	}
-	fs.tr, fs.tid = tr, tid
-	out, err := fs.Run(transfers)
-	fs.tr = nil
-	sessionPool.Put(fs) // keeps the solver and its registered table
-	return out, err
-}
-
-// sameAsLast reports whether transfers is entry-for-entry identical to the
-// input that built the solver's current checkpoint: same IDs, sizes and
-// demands, and the same backing array for each usage list (measurement
-// loops pass cached usage slices, so pointer equality is the common case
-// and content comparison is not worth its cost).
-func (fs *FluidSession) sameAsLast(transfers []Transfer) bool {
-	if len(fs.raw) != len(transfers) || len(transfers) == 0 {
-		return false
-	}
-	for i := range transfers {
-		a, b := &fs.raw[i], &transfers[i]
-		if a.ID != b.ID || a.Bytes != b.Bytes || a.Demand != b.Demand ||
-			len(a.Usages) != len(b.Usages) {
-			return false
-		}
-		if len(a.Usages) > 0 && &a.Usages[0] != &b.Usages[0] {
-			return false
-		}
-	}
-	return true
+	fs.s = s
+	fs.resSnap = append(fs.resSnap[:0], resources...)
+	return fs, nil
 }
 
 // resourcesMatch reports whether the session's registered table equals the
@@ -219,63 +134,70 @@ func resourcesMatch(snap, resources []fabric.Resource) bool {
 	return true
 }
 
-// Run executes one fluid session over the session's fabric. The returned
-// result is freshly allocated and owned by the caller.
-func (fs *FluidSession) Run(transfers []Transfer) (*SessionResult, error) {
-	return fs.run(transfers, false)
+// register validates the transfers and adds them to the session's solver
+// as flows in ascending ID order, recording that order in fs.ord. Every
+// solve therefore accumulates in the same order whatever order the caller
+// passed.
+func (fs *fluidSession) register(transfers []Transfer) error {
+	for i := range transfers {
+		if transfers[i].Bytes <= 0 {
+			return fmt.Errorf("simhost: transfer %q has nonpositive size", transfers[i].ID)
+		}
+	}
+	ord := fs.ord[:0]
+	for i := range transfers {
+		ord = append(ord, int32(i))
+	}
+	fs.ord = ord
+	slices.SortFunc(ord, func(a, b int32) int { return strings.Compare(transfers[a].ID, transfers[b].ID) })
+	for k := 1; k < len(ord); k++ {
+		if id := transfers[ord[k]].ID; id == transfers[ord[k-1]].ID {
+			return fmt.Errorf("simhost: duplicate transfer %q", id)
+		}
+	}
+	fs.s.Reset()
+	for _, i := range ord {
+		t := &transfers[i]
+		if err := fs.s.AddFlow(fabric.Flow{ID: t.ID, Demand: t.Demand, Usages: t.Usages}); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// RunShared is Run with the result assembled into session-owned storage:
-// the returned SessionResult (including its Transfers map) is reused by the
-// next Run/RunShared call, so steady-state callers that consume the result
-// before running again — the characterization sweep's measurement loop —
-// stay entirely off the allocator. Do not retain the result.
-func (fs *FluidSession) RunShared(transfers []Transfer) (*SessionResult, error) {
-	return fs.run(transfers, true)
-}
-
-func (fs *FluidSession) run(transfers []Transfer, shared bool) (*SessionResult, error) {
+// RunFluid advances the given transfers through a max-min fair fabric until
+// all complete, re-solving the allocation whenever a transfer finishes
+// (fluid-flow approximation of the real time-shared hardware), and records
+// the phase-by-phase Timeline. A non-nil tracer gets one fluid-run span
+// plus one fluid-phase span per phase (category "fluid") on track tid, so
+// solver work nests under the measurement that triggered it; untraced
+// callers pass nil, 0. Tracing shapes no results.
+//
+// The solver is built once — resources registered and flows added in sorted
+// ID order — and completed flows are removed between phases; the solver
+// re-levels only the components those removals touched. Ordered removal
+// keeps the remaining flows in sorted order, so every phase solves the
+// exact same problem (same float accumulation order) a per-phase rebuild
+// would.
+func RunFluid(resources []fabric.Resource, transfers []Transfer, tr *telemetry.Tracer, tid int) (*SessionResult, error) {
 	n := len(transfers)
 	if n == 0 {
 		return &SessionResult{Transfers: map[string]TransferResult{}}, nil
 	}
-	s := fs.s
-	if !(fs.sameAsLast(transfers) && s.RestoreCheckpoint()) {
-		// Full build: validate, sort, register — then checkpoint the solver
-		// table and snapshot the input so identical repeats skip all of it.
-		fs.raw = fs.raw[:0]
-		for i := range transfers {
-			if transfers[i].Bytes <= 0 {
-				return nil, fmt.Errorf("simhost: transfer %q has nonpositive size", transfers[i].ID)
-			}
-		}
-		fs.ord = append(fs.ord[:0], transfers...)
-		ord := fs.ord
-		sorted := true
-		for i := 1; i < n; i++ {
-			if ord[i].ID < ord[i-1].ID {
-				sorted = false
-				break
-			}
-		}
-		if !sorted {
-			sort.Slice(ord, func(i, j int) bool { return ord[i].ID < ord[j].ID })
-		}
-		for i := 1; i < n; i++ {
-			if ord[i].ID == ord[i-1].ID {
-				return nil, fmt.Errorf("simhost: duplicate transfer %q", ord[i].ID)
-			}
-		}
-		s.Reset()
-		for i := range ord {
-			if err := s.AddFlow(fabric.Flow{ID: ord[i].ID, Demand: ord[i].Demand, Usages: ord[i].Usages}); err != nil {
-				return nil, err
-			}
-		}
-		s.Checkpoint()
-		fs.raw = append(fs.raw[:0], transfers...)
+	var runSpan *telemetry.Span
+	if tr != nil {
+		runSpan = tr.StartSpanOn(tid, "fluid-run", "fluid", telemetry.Int("transfers", n))
+		defer runSpan.End()
 	}
-	ord := fs.ord
+	fs, err := acquireSession(resources)
+	if err != nil {
+		return nil, err
+	}
+	defer sessionPool.Put(fs) // keeps the solver and its registered table
+	if err := fs.register(transfers); err != nil {
+		return nil, err
+	}
+	s, ord := fs.s, fs.ord
 
 	if cap(fs.remaining) < n {
 		fs.remaining = make([]float64, n)
@@ -285,8 +207,8 @@ func (fs *FluidSession) run(transfers []Transfer, shared bool) (*SessionResult, 
 	}
 	remaining, rate := fs.remaining[:n], fs.rate[:n]
 	done, results := fs.done[:n], fs.results[:n]
-	for i := range ord {
-		remaining[i] = ord[i].Bytes.Bits()
+	for i, ti := range ord {
+		remaining[i] = transfers[ti].Bytes.Bits()
 		done[i] = false
 		results[i] = TransferResult{}
 	}
@@ -295,13 +217,6 @@ func (fs *FluidSession) run(transfers []Transfer, shared bool) (*SessionResult, 
 	fs.utilArena = fs.utilArena[:0]
 	fs.compArena = fs.compArena[:0]
 
-	var runSpan *telemetry.Span
-	if fs.tr != nil {
-		runSpan = fs.tr.StartSpanOn(fs.tid, "fluid-run", "fluid",
-			telemetry.Int("transfers", n))
-		defer runSpan.End()
-	}
-
 	var now float64 // seconds
 	var totalBits float64
 	activeCount := n
@@ -309,7 +224,7 @@ func (fs *FluidSession) run(transfers []Transfer, shared bool) (*SessionResult, 
 	phaseIdx := 0
 	for activeCount > 0 {
 		var phaseSpanT *telemetry.Span
-		if fs.tr != nil {
+		if tr != nil {
 			phaseSpanT = runSpan.StartSpan("fluid-phase", "fluid",
 				telemetry.Int("phase", phaseIdx), telemetry.Int("active", activeCount))
 		}
@@ -333,7 +248,7 @@ func (fs *FluidSession) run(transfers []Transfer, shared bool) (*SessionResult, 
 			k++
 			if r <= 0 {
 				phaseSpanT.End()
-				return nil, fmt.Errorf("simhost: transfer %q starved (zero rate)", ord[i].ID)
+				return nil, starved(&transfers[ord[i]])
 			}
 			rate[i] = r
 			if t := remaining[i] / r; t < dt {
@@ -346,13 +261,11 @@ func (fs *FluidSession) run(transfers []Transfer, shared bool) (*SessionResult, 
 		// utilization list — an absent entry reads as 0, which is also its
 		// value.
 		sp := phaseSpan{start: now, dur: dt}
-		if !fs.lean {
-			nres := ia.NumResources()
-			for ri := 0; ri < nres; ri++ {
-				if u := ia.Utilization(ri); u > 0 {
-					fs.utilArena = append(fs.utilArena, ResourceUtil{Resource: ia.ResourceID(ri), Util: u})
-					sp.utilN++
-				}
+		nres := ia.NumResources()
+		for ri := 0; ri < nres; ri++ {
+			if u := ia.Utilization(ri); u > 0 {
+				fs.utilArena = append(fs.utilArena, ResourceUtil{Resource: ia.ResourceID(ri), Util: u})
+				sp.utilN++
 			}
 		}
 		// Completions are collected and removed in one compaction pass:
@@ -364,25 +277,21 @@ func (fs *FluidSession) run(transfers []Transfer, shared bool) (*SessionResult, 
 			if done[i] {
 				continue
 			}
-			id := ord[i].ID
-			if !fs.lean {
-				fs.rateArena = append(fs.rateArena, TransferRate{ID: id, Rate: units.Bandwidth(rate[i])})
-				sp.ratesN++
-			}
+			t := &transfers[ord[i]]
+			fs.rateArena = append(fs.rateArena, TransferRate{ID: t.ID, Rate: units.Bandwidth(rate[i])})
+			sp.ratesN++
 			if first {
-				results[i].ID = id
+				results[i].ID = t.ID
 				results[i].InitialRate = units.Bandwidth(rate[i])
 			}
 			remaining[i] -= rate[i] * dt
 			if remaining[i] <= 1e-3 { // sub-bit residue
-				results[i].Bytes = ord[i].Bytes
+				results[i].Bytes = t.Bytes
 				results[i].Duration = units.Duration(now + dt)
-				results[i].Bandwidth = units.Rate(ord[i].Bytes, results[i].Duration)
-				totalBits += ord[i].Bytes.Bits()
-				if !fs.lean {
-					fs.compArena = append(fs.compArena, id)
-					sp.compN++
-				}
+				results[i].Bandwidth = units.Rate(t.Bytes, results[i].Duration)
+				totalBits += t.Bytes.Bits()
+				fs.compArena = append(fs.compArena, t.ID)
+				sp.compN++
 				done[i] = true
 				activeCount--
 				dropIdx = append(dropIdx, int32(k))
@@ -391,53 +300,81 @@ func (fs *FluidSession) run(transfers []Transfer, shared bool) (*SessionResult, 
 		}
 		s.RemoveFlowsAt(dropIdx)
 		fs.dropIdx = dropIdx[:0]
-		if !fs.lean {
-			fs.spans = append(fs.spans, sp)
-			phaseSpanT.SetAttr(telemetry.Int("completed", int(sp.compN)))
-		}
+		fs.spans = append(fs.spans, sp)
+		phaseSpanT.SetAttr(telemetry.Int("completed", int(sp.compN)))
 		phaseSpanT.End()
 		phaseIdx++
 		now += dt
 		first = false
 	}
 
-	var out *SessionResult
-	if shared {
-		out = &fs.out
-		if out.Transfers == nil {
-			out.Transfers = make(map[string]TransferResult, n)
-		} else {
-			clear(out.Transfers)
-		}
-		out.Makespan = units.Duration(now)
-		out.AggregateBandwidth = 0
-		out.SteadyAggregate = 0
-		out.Timeline = fs.materializeTimeline()
-	} else {
-		out = &SessionResult{
-			Transfers: make(map[string]TransferResult, n),
-			Makespan:  units.Duration(now),
-			Timeline:  fs.materializeTimeline(),
-		}
+	out := &SessionResult{
+		Transfers: make(map[string]TransferResult, n),
+		Makespan:  units.Duration(now),
+		Timeline:  fs.materializeTimeline(),
 	}
 	if now > 0 {
 		out.AggregateBandwidth = units.Bandwidth(totalBits / now)
 	}
 	// Accumulated in ord (ascending ID) order: deterministic float sum.
-	for i := range ord {
-		out.Transfers[ord[i].ID] = results[i]
+	for i, ti := range ord {
+		out.Transfers[transfers[ti].ID] = results[i]
 		out.SteadyAggregate += results[i].InitialRate
 	}
 	return out, nil
 }
 
+// SteadyRates writes to rates[i] the rate transfers[i] gets while every
+// transfer is active: the steady figure a benchmark of equal concurrent
+// streams reports, and all one Algorithm 1 measurement cell needs. It
+// validates and registers the transfers exactly as RunFluid does and
+// solves once, so each rate equals RunFluid's InitialRate bit for bit and
+// the errors are the same; a warm call allocates nothing. rates must hold
+// at least len(transfers) entries. A non-nil tracer gets one fluid-steady
+// span (category "fluid") on track tid.
+func SteadyRates(resources []fabric.Resource, transfers []Transfer, rates []units.Bandwidth, tr *telemetry.Tracer, tid int) error {
+	n := len(transfers)
+	if n == 0 {
+		return nil
+	}
+	if len(rates) < n {
+		return fmt.Errorf("simhost: %d rate slots for %d transfers", len(rates), n)
+	}
+	if tr != nil {
+		sp := tr.StartSpanOn(tid, "fluid-steady", "fluid", telemetry.Int("transfers", n))
+		defer sp.End()
+	}
+	fs, err := acquireSession(resources)
+	if err != nil {
+		return err
+	}
+	defer sessionPool.Put(fs)
+	if err := fs.register(transfers); err != nil {
+		return err
+	}
+	ia, err := fs.s.SolveIndexed()
+	if err != nil {
+		return err
+	}
+	for k, ti := range fs.ord {
+		r := ia.Rate(k)
+		if r <= 0 {
+			return starved(&transfers[ti])
+		}
+		rates[ti] = r
+	}
+	return nil
+}
+
+// starved reports a transfer the allocation gave no bandwidth.
+func starved(t *Transfer) error {
+	return fmt.Errorf("simhost: transfer %q starved (zero rate)", t.ID)
+}
+
 // materializeTimeline copies the run's arena-accumulated phase records into
 // an exactly-sized, caller-owned Timeline: one allocation per entry kind
-// regardless of phase count. Lean runs return the zero Timeline.
-func (fs *FluidSession) materializeTimeline() Timeline {
-	if fs.lean || len(fs.spans) == 0 {
-		return Timeline{}
-	}
+// regardless of phase count.
+func (fs *fluidSession) materializeTimeline() Timeline {
 	rates := make(RateList, len(fs.rateArena))
 	copy(rates, fs.rateArena)
 	utils := make(UtilList, len(fs.utilArena))

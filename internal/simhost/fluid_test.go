@@ -1,7 +1,9 @@
 package simhost
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -22,7 +24,7 @@ func TestRunFluidSimultaneousCompletions(t *testing.T) {
 	out, err := RunFluid(res, []Transfer{
 		{ID: "b", Bytes: 625 * units.MiB, Usages: u},
 		{ID: "a", Bytes: 625 * units.MiB, Usages: u},
-	})
+	}, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +59,7 @@ func TestRunFluidSimultaneousAmongStaggered(t *testing.T) {
 		{ID: "s1", Bytes: 500 * units.MiB, Usages: u},
 		{ID: "s2", Bytes: 500 * units.MiB, Usages: u},
 		{ID: "big", Bytes: 2000 * units.MiB, Usages: u},
-	})
+	}, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +99,7 @@ func TestRunFluidSingleTransferTimeline(t *testing.T) {
 	out, err := RunFluid(res, []Transfer{{
 		ID: "only", Bytes: units.GiB,
 		Usages: []fabric.Usage{{Resource: "l", Weight: 1}},
-	}})
+	}}, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +132,7 @@ func TestRunFluidRateCappedContention(t *testing.T) {
 		{ID: "capped", Bytes: 1000 * units.MiB, Demand: 2 * units.Gbps, Usages: u},
 		// Uncapped, gets the remaining 8 Gb/s: 16 Gbit -> 2 s.
 		{ID: "fast", Bytes: 2000 * units.MiB, Usages: u},
-	})
+	}, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +169,7 @@ func TestRunFluidPhaseInvariants(t *testing.T) {
 	for i, sz := range sizes {
 		transfers = append(transfers, Transfer{ID: ids[i], Bytes: sz, Usages: u})
 	}
-	out, err := RunFluid(res, transfers)
+	out, err := RunFluid(res, transfers, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,5 +196,72 @@ func TestRunFluidPhaseInvariants(t *testing.T) {
 	}
 	if math.Abs(out.Makespan.Seconds()-clock.Seconds()) > 1e-12 {
 		t.Errorf("makespan = %v, want %v", out.Makespan, clock)
+	}
+}
+
+// TestSteadyRatesMatchesRunFluid: over randomized transfer sets — unsorted
+// IDs (t10 sorts before t2), demand caps, shared and private resources —
+// SteadyRates must report exactly RunFluid's InitialRate for every
+// transfer, and both must fail the same way on a zero-size transfer, a
+// duplicate ID and a starved transfer.
+func TestSteadyRatesMatchesRunFluid(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	res := []fabric.Resource{{ID: "tiny", Capacity: units.Bandwidth(1e-300)}}
+	for i := 0; i < 6; i++ {
+		res = append(res, fabric.Resource{
+			ID:       fabric.ResourceID(fmt.Sprintf("l%d", i)),
+			Capacity: units.Bandwidth(1+rng.Float64()*40) * units.Gbps,
+		})
+	}
+	sameErr := func(label string, transfers []Transfer) {
+		t.Helper()
+		_, runErr := RunFluid(res, transfers, nil, 0)
+		steadyErr := SteadyRates(res, transfers, make([]units.Bandwidth, len(transfers)), nil, 0)
+		if runErr == nil || steadyErr == nil || runErr.Error() != steadyErr.Error() {
+			t.Errorf("%s: RunFluid error %v, SteadyRates error %v", label, runErr, steadyErr)
+		}
+	}
+	for trial := 0; trial < 50; trial++ {
+		n := 11 + rng.Intn(20)
+		transfers := make([]Transfer, n)
+		for i, id := range rng.Perm(n) {
+			tr := Transfer{ID: fmt.Sprintf("t%d", id), Bytes: units.Size(1+rng.Intn(64)) * units.MiB}
+			for k := 1 + rng.Intn(3); k > 0; k-- {
+				tr.Usages = append(tr.Usages, fabric.Usage{
+					Resource: res[1+rng.Intn(len(res)-1)].ID, Weight: 0.25 + rng.Float64(),
+				})
+			}
+			if rng.Intn(3) == 0 {
+				tr.Demand = units.Bandwidth(0.5+rng.Float64()*10) * units.Gbps
+			}
+			transfers[i] = tr
+		}
+		out, err := RunFluid(res, transfers, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rates := make([]units.Bandwidth, n)
+		if err := SteadyRates(res, transfers, rates, nil, 0); err != nil {
+			t.Fatal(err)
+		}
+		for i, tr := range transfers {
+			want := out.Transfers[tr.ID].InitialRate
+			if math.Float64bits(float64(rates[i])) != math.Float64bits(float64(want)) {
+				t.Fatalf("trial %d: %s steady rate %v != RunFluid initial rate %v", trial, tr.ID, rates[i], want)
+			}
+		}
+
+		bad := append([]Transfer(nil), transfers...)
+		bad[rng.Intn(n)].Bytes = 0
+		sameErr("zero size", bad)
+		bad = append(append([]Transfer(nil), transfers...), transfers[rng.Intn(n)])
+		sameErr("duplicate ID", bad)
+		bad = append(append([]Transfer(nil), transfers...), Transfer{
+			ID: "starved", Bytes: units.KiB, Usages: []fabric.Usage{{Resource: "tiny", Weight: 1e300}},
+		})
+		sameErr("starved", bad)
+	}
+	if err := SteadyRates(res, []Transfer{{ID: "a", Bytes: units.KiB}}, nil, nil, 0); err == nil {
+		t.Error("SteadyRates accepted a rates slice shorter than the transfers")
 	}
 }

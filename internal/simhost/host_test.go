@@ -302,7 +302,7 @@ func TestRunFluidSingle(t *testing.T) {
 	out, err := RunFluid(res, []Transfer{{
 		ID: "t", Bytes: units.GiB,
 		Usages: []fabric.Usage{{Resource: "l", Weight: 1}},
-	}})
+	}}, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +327,7 @@ func TestRunFluidResolvesAfterCompletion(t *testing.T) {
 	out, err := RunFluid(res, []Transfer{
 		{ID: "small", Bytes: 625 * units.MiB, Usages: u}, // 5 Gbit
 		{ID: "big", Bytes: 1875 * units.MiB, Usages: u},  // 15 Gbit
-	})
+	}, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +356,7 @@ func TestRunFluidDemandCap(t *testing.T) {
 	out, err := RunFluid(res, []Transfer{{
 		ID: "capped", Bytes: units.GiB, Demand: 2 * units.Gbps,
 		Usages: []fabric.Usage{{Resource: "l", Weight: 1}},
-	}})
+	}}, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,24 +368,24 @@ func TestRunFluidDemandCap(t *testing.T) {
 func TestRunFluidErrors(t *testing.T) {
 	res := []fabric.Resource{{ID: "l", Capacity: 10 * units.Gbps}}
 	u := []fabric.Usage{{Resource: "l", Weight: 1}}
-	if _, err := RunFluid(res, []Transfer{{ID: "z", Bytes: 0, Usages: u}}); err == nil {
+	if _, err := RunFluid(res, []Transfer{{ID: "z", Bytes: 0, Usages: u}}, nil, 0); err == nil {
 		t.Error("zero-size transfer should fail")
 	}
 	if _, err := RunFluid(res, []Transfer{
 		{ID: "d", Bytes: units.KiB, Usages: u},
 		{ID: "d", Bytes: units.KiB, Usages: u},
-	}); err == nil {
+	}, nil, 0); err == nil {
 		t.Error("duplicate transfer IDs should fail")
 	}
 	if _, err := RunFluid(res, []Transfer{{ID: "x", Bytes: units.KiB,
-		Usages: []fabric.Usage{{Resource: "nope", Weight: 1}}}}); err == nil {
+		Usages: []fabric.Usage{{Resource: "nope", Weight: 1}}}}, nil, 0); err == nil {
 		t.Error("unknown resource should fail")
 	}
 	if _, err := RunFluid([]fabric.Resource{{ID: "bad", Capacity: -1}},
-		[]Transfer{{ID: "x", Bytes: units.KiB, Usages: u}}); err == nil {
+		[]Transfer{{ID: "x", Bytes: units.KiB, Usages: u}}, nil, 0); err == nil {
 		t.Error("bad resource should fail")
 	}
-	out, err := RunFluid(res, nil)
+	out, err := RunFluid(res, nil, nil, 0)
 	if err != nil || len(out.Transfers) != 0 {
 		t.Error("empty run should succeed with no transfers")
 	}

@@ -18,7 +18,7 @@ func twoPhaseRun(t *testing.T) *SessionResult {
 	out, err := RunFluid(res, []Transfer{
 		{ID: "small", Bytes: 625 * units.MiB, Usages: u},
 		{ID: "big", Bytes: 1875 * units.MiB, Usages: u},
-	})
+	}, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,7 +97,7 @@ func BenchmarkRunFluid(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := simhost.RunFluid(resources, transfers); err != nil {
+		if _, err := simhost.RunFluid(resources, transfers, nil, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -11,12 +11,13 @@
 # PredictRequest/PlaceRequest hot paths once and compares their ns/op,
 # B/op and allocs/op against the most recent recorded BENCH_*.json,
 # failing on a slowdown — or an allocation regression — beyond TOLERANCE,
-# plus absolute gates on the sweep hot path (CharacterizeAll <= 500 KB/op,
-# RunFluid <= 10 allocs/op) and on the telemetry tax (flight recorder
+# plus absolute gates on the sweep hot path (CharacterizeAll <= 512000
+# B/op, RunFluid <= 10 allocs/op) and on the telemetry tax (flight recorder
 # on/off request ratio <= RECORDER_TOLERANCE, FlightRecorderRecord at 0
-# allocs/op) — the CI bench-regression guard. Nothing is recorded in this
-# mode. When GITHUB_STEP_SUMMARY is set, a benchstat-style old/new delta
-# table is appended to it.
+# allocs/op) — the CI bench-regression guard. Both gate passes always run
+# and print every verdict; the script fails if either does. Nothing is
+# recorded in this mode. When GITHUB_STEP_SUMMARY is set, a
+# benchstat-style old/new delta table is appended to it.
 #
 # Environment knobs:
 #   REV        label for the output files (default: git short hash)
@@ -67,6 +68,9 @@ if [ "${1:-}" = "-check" ]; then
             echo "|---|---|---|---|---|---|---|---|"
         } >> "$GITHUB_STEP_SUMMARY"
     fi
+    # Each gate pass records its verdict instead of exiting under set -e, so
+    # a failed baseline comparison never hides the host-independent gates.
+    status=0
     awk -v limit="$tolerance" -v summary="${GITHUB_STEP_SUMMARY:-}" '
     # extract pulls one numeric JSON field out of a baseline line; returns
     # -1 when the field is absent (older records without -benchmem data).
@@ -130,7 +134,7 @@ if [ "${1:-}" = "-check" ]; then
         }
         exit bad > 0
     }
-    ' "$baseline" "$tmp/bench.txt"
+    ' "$baseline" "$tmp/bench.txt" || status=1
     # Structural gates beyond per-benchmark regression: the dirty-set
     # re-solve must beat the full re-level, and the parallel sweep must
     # actually scale — the latter only where the host has cores to scale
@@ -183,7 +187,7 @@ if [ "${1:-}" = "-check" ]; then
         if (maxsweepname != "") {
             printf "CharacterizeAll peak heap: %.0f B/op at %s (ceiling 512000)\n", maxsweepb, maxsweepname
             if (maxsweepb > 512000) {
-                print "bench.sh -check: CharacterizeAll B/op above the 500 KB ceiling" > "/dev/stderr"
+                print "bench.sh -check: CharacterizeAll B/op above the 512000 B ceiling" > "/dev/stderr"
                 bad = 1
             }
         } else {
@@ -223,7 +227,11 @@ if [ "${1:-}" = "-check" ]; then
             bad = 1
         }
         exit bad
-    }' "$tmp/bench.txt"
+    }' "$tmp/bench.txt" || status=1
+    if [ "$status" -ne 0 ]; then
+        echo "bench.sh -check: FAILED (see the verdicts above)" >&2
+        exit 1
+    fi
     echo "bench.sh -check: no regression beyond ${tolerance}x"
     exit 0
 fi
