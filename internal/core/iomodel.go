@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -206,6 +207,23 @@ type Config struct {
 	// failures, outlier rejections). Tracing shapes no results and is
 	// excluded from model cache keys.
 	Tracer *telemetry.Tracer
+
+	// Base, when non-nil, is the machine this one was derived from (a
+	// what-if mutant's original) with the whole-host model CharacterizeAll
+	// built for it under this same Config. Every sample whose copy path is
+	// unchanged — same route, same link capacities on it, same nodes — is
+	// copied from that model instead of measured; the other cells run, and
+	// every target is classified again. Base shapes no result: the model
+	// equals a fresh sweep's byte for byte, so it is excluded from model
+	// cache keys. It is ignored under Faults.
+	Base *Base
+}
+
+// Base is the machine a characterized machine was derived from, with its
+// whole-host model (Config.Base).
+type Base struct {
+	Machine *topology.Machine
+	Model   *MachineModel
 }
 
 func (c Config) withDefaults() Config {
@@ -270,6 +288,14 @@ type Characterizer struct {
 	mu   sync.Mutex
 	idle []*fio.Runner
 
+	// allRows indexes every node of a sweep (0..n-1), the rows a sweep
+	// without a base measures. reuse marks, for Config.Base, the ordered
+	// (src, dst) copy pairs whose samples the base model supplies:
+	// reuse[s*n+d] over the indices of the sorted node IDs; nil when
+	// nothing can be reused.
+	allRows []int
+	reuse   []bool
+
 	// names caches the per-sweep cell job names (see cellNames); fpOnce
 	// caches the machine fingerprint for CharacterizeAll.
 	nameMu sync.Mutex
@@ -295,6 +321,10 @@ func NewCharacterizer(sys *numa.System, cfg Config) (*Characterizer, error) {
 		return nil, fmt.Errorf("core: negative parallelism")
 	}
 	c := &Characterizer{sys: sys, cfg: cfg}
+	c.allRows = make([]int, sys.Machine().NumNodes())
+	for i := range c.allRows {
+		c.allRows[i] = i
+	}
 	c.retry = resilience.RetryPolicy{MaxRetries: cfg.MaxRetries, Base: cfg.RetryBackoff}
 	if cfg.Faults != nil {
 		inj, err := faults.New(*cfg.Faults)
@@ -308,7 +338,77 @@ func NewCharacterizer(sys *numa.System, cfg Config) (*Characterizer, error) {
 		}
 		c.inj = inj
 	}
+	if b := cfg.Base; b != nil {
+		if b.Machine == nil || b.Model == nil {
+			return nil, fmt.Errorf("core: base needs both a machine and its model")
+		}
+		if cfg.Faults == nil {
+			c.reuse = reusablePairs(b.Machine, sys.Machine())
+		}
+	}
 	return c, nil
+}
+
+// reusablePairs decides, once per Characterizer, which samples of machine
+// m the base machine's model can supply. A memcpy cell's value depends only
+// on its route's links, the two memory controllers, the thread count and
+// the jitter keyed by the machine name: so the machines must share their
+// name, nodes (cores set the thread count and sigma, packages drive
+// Classify) and link count, and an ordered (src, dst) pair is reusable when
+// its route has the same links, with the same capacities, on both. It
+// returns nil when the machines differ in anything else.
+func reusablePairs(base, m *topology.Machine) []bool {
+	if base.Name != m.Name || !slices.Equal(base.Nodes, m.Nodes) || base.NumLinks() != m.NumLinks() {
+		return nil
+	}
+	nodes := m.NodeIDs()
+	reuse := make([]bool, len(nodes)*len(nodes))
+	for s, src := range nodes {
+		for d, dst := range nodes {
+			was, err1 := base.RouteNodes(src, dst)
+			now, err2 := m.RouteNodes(src, dst)
+			if err1 != nil || err2 != nil || !slices.Equal(was, now) {
+				continue
+			}
+			reuse[s*len(nodes)+d] = !slices.ContainsFunc(now, func(li int) bool {
+				return base.Link(li).Capacity != m.Link(li).Capacity
+			})
+		}
+	}
+	return reuse
+}
+
+// baseSweep returns the base model's (target, mode) model when its samples
+// cover exactly the given nodes, in order; nil otherwise.
+func (c *Characterizer) baseSweep(target topology.NodeID, mode Mode, nodes []topology.NodeID) *Model {
+	bm, err := c.cfg.Base.Model.ModelFor(target, mode)
+	if err != nil || len(bm.Samples) != len(nodes) {
+		return nil
+	}
+	for i, s := range bm.Samples {
+		if s.Node != nodes[i] {
+			return nil
+		}
+	}
+	return bm
+}
+
+// measureRows returns the indices into nodes of the (target, mode) samples
+// the base model cannot supply. Sample (target, mode, node) is the copy
+// pair (node, target) in write mode and (target, node) in read mode.
+func (c *Characterizer) measureRows(target topology.NodeID, mode Mode, nodes []topology.NodeID) []int {
+	n, t := len(nodes), slices.Index(nodes, target)
+	var rows []int
+	for i := range nodes {
+		pair := i*n + t
+		if mode == ModeRead {
+			pair = t*n + i
+		}
+		if !c.reuse[pair] {
+			rows = append(rows, i)
+		}
+	}
+	return rows
 }
 
 // getRunner pops a pooled measurement runner (or builds one on a pool
@@ -359,7 +459,8 @@ func (c *Characterizer) workers(items int) int {
 
 // Characterize runs Algorithm 1 for one target node and mode and returns
 // the classified model. With Config.Parallelism > 1 the (node, repeat)
-// measurement cells run concurrently; the model is identical either way.
+// measurement cells run concurrently, and with Config.Base only the cells a
+// machine change can reach are measured; the model is identical either way.
 func (c *Characterizer) Characterize(target topology.NodeID, mode Mode) (*Model, error) {
 	return c.characterize(target, mode, -1, 0)
 }
@@ -400,20 +501,42 @@ func (c *Characterizer) characterize(target topology.NodeID, mode Mode, budget, 
 	}
 
 	nodes := m.NodeIDs()
-	if budget < 0 {
-		budget = c.workers(len(nodes) * c.cfg.Repeats)
+	// rows are the indices into nodes of the samples to measure, ascending;
+	// with a base model, every other sample is copied from it.
+	rows := c.allRows
+	var base *Model
+	if c.reuse != nil {
+		if base = c.baseSweep(target, mode, nodes); base != nil {
+			rows = c.measureRows(target, mode, nodes)
+		}
+		sweep.SetAttr(telemetry.Int("reused", len(nodes)-len(rows)))
 	}
-	vals, stats, err := c.measureCells(target, mode, threads, nodes, budget, tid)
-	if err != nil {
-		return nil, err
+	var vals [][]float64
+	var stats cellStats
+	if len(rows) > 0 {
+		if budget < 0 {
+			budget = c.workers(len(rows) * c.cfg.Repeats)
+		}
+		var err error
+		vals, stats, err = c.measureCells(target, mode, threads, nodes, rows, budget, tid)
+		if err != nil {
+			return nil, err
+		}
 	}
 	model := &Model{Machine: m.Name, Target: target, Mode: mode}
 	model.Samples = make([]Sample, 0, len(nodes))
 	totalOutliers := 0
+	k := 0 // the next measured row
 	for i, n := range nodes {
-		kept, rejected := vals[i], 0
+		if k == len(rows) || rows[k] != i {
+			model.Samples = append(model.Samples, base.Samples[i])
+			continue
+		}
+		row := vals[k]
+		k++
+		kept, rejected := row, 0
 		if c.cfg.OutlierMAD > 0 {
-			kept, rejected = rejectOutliers(vals[i], c.cfg.OutlierMAD)
+			kept, rejected = rejectOutliers(row, c.cfg.OutlierMAD)
 			totalOutliers += rejected
 		}
 		if rejected > 0 {
@@ -507,21 +630,24 @@ func (c *Characterizer) cellNames(target topology.NodeID, mode Mode, nodes []top
 	return row
 }
 
-// measureCells runs every (node, repeat) measurement cell of one sweep and
-// returns vals[nodeIdx][rep] plus the summed resilience stats. Cells are
-// independent, so with workers > 1 they are distributed over a bounded
-// pool, one fio.Runner per worker: workers claim contiguous index ranges
-// off an atomic counter — no channel send per cell — and the result matrix
-// (and the per-cell stats it sums) is indexed, not appended, so scheduling
-// order cannot change the assembled model.
-func (c *Characterizer) measureCells(target topology.NodeID, mode Mode, threads int, nodes []topology.NodeID, workers, tid int) ([][]float64, cellStats, error) {
+// measureCells runs the (node, repeat) measurement cells of one sweep for
+// the nodes at the given rows (indices into nodes, ascending) and returns
+// vals[k][rep] for rows[k] plus the summed resilience stats. A cell keeps
+// the job name of its place in the full sweep, so its value does not
+// depend on which rows are measured. Cells are independent, so with
+// workers > 1 they are distributed over a bounded pool, one fio.Runner per
+// worker: workers claim contiguous index ranges off an atomic counter — no
+// channel send per cell — and the result matrix (and the per-cell stats it
+// sums) is indexed, not appended, so scheduling order cannot change the
+// assembled model.
+func (c *Characterizer) measureCells(target topology.NodeID, mode Mode, threads int, nodes []topology.NodeID, rows []int, workers, tid int) ([][]float64, cellStats, error) {
 	reps := c.cfg.Repeats
-	flat := make([]float64, len(nodes)*reps)
-	vals := make([][]float64, len(nodes))
-	for i := range vals {
-		vals[i] = flat[i*reps : (i+1)*reps : (i+1)*reps]
+	flat := make([]float64, len(rows)*reps)
+	vals := make([][]float64, len(rows))
+	for k := range vals {
+		vals[k] = flat[k*reps : (k+1)*reps : (k+1)*reps]
 	}
-	total := len(nodes) * reps
+	total := len(rows) * reps
 	perCell := make([]cellStats, total)
 	names := c.cellNames(target, mode, nodes, reps)
 	var sum cellStats
@@ -538,17 +664,16 @@ func (c *Characterizer) measureCells(target topology.NodeID, mode Mode, threads 
 		}
 		defer c.putRunner(runner)
 		sc := c.newScratch(target, threads)
-		for i, n := range nodes {
+		for k, i := range rows {
 			for rep := 0; rep < reps; rep++ {
-				idx := i*reps + rep
 				activeWorkers.Add(1)
-				v, st, err := c.measureCell(runner, sc, names[idx], target, n, mode, rep, tid)
+				v, st, err := c.measureCell(runner, sc, names[i*reps+rep], target, nodes[i], mode, rep, tid)
 				activeWorkers.Add(-1)
 				if err != nil {
 					return nil, sum, err
 				}
-				vals[i][rep] = v
-				perCell[idx] = st
+				vals[k][rep] = v
+				perCell[k*reps+rep] = st
 			}
 		}
 		for _, st := range perCell {
@@ -601,7 +726,8 @@ func (c *Characterizer) measureCells(target topology.NodeID, mode Mode, threads 
 					if failed.Load() {
 						return
 					}
-					i, rep := int(idx)/reps, int(idx)%reps
+					k, rep := int(idx)/reps, int(idx)%reps
+					i := rows[k]
 					busy := activeWorkers.Add(1)
 					if traced {
 						// Worker-pool occupancy, sampled onto the trace as a
@@ -609,7 +735,7 @@ func (c *Characterizer) measureCells(target topology.NodeID, mode Mode, threads 
 						// stay byte-deterministic).
 						c.cfg.Tracer.Count("measure-workers-busy", float64(busy))
 					}
-					v, st, err := c.measureCell(runner, sc, names[idx], target, nodes[i], mode, rep, wtid)
+					v, st, err := c.measureCell(runner, sc, names[i*reps+rep], target, nodes[i], mode, rep, wtid)
 					busy = activeWorkers.Add(-1)
 					if traced {
 						c.cfg.Tracer.Count("measure-workers-busy", float64(busy))
@@ -618,7 +744,7 @@ func (c *Characterizer) measureCells(target topology.NodeID, mode Mode, threads 
 						fail(err)
 						return
 					}
-					vals[i][rep] = v
+					vals[k][rep] = v
 					perCell[idx] = st
 				}
 			}

@@ -649,6 +649,23 @@ func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	// Reject an unknown target or mode before paying for a sweep.
+	target := topology.NodeID(req.Target)
+	if _, ok := base.Node(target); !ok {
+		writeError(w, http.StatusBadRequest, "unknown target node %d", req.Target)
+		return
+	}
+	names := req.Modes
+	if len(names) == 0 {
+		names = []string{core.ModeWrite.String(), core.ModeRead.String()}
+	}
+	modes := make([]core.Mode, len(names))
+	for i, ms := range names {
+		if modes[i], err = core.ParseMode(ms); err != nil {
+			writeError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+	}
 	// base may be the process-wide shared profile machine: degrade a copy.
 	mutant := base.Clone()
 	for _, d := range req.Degrade {
@@ -668,29 +685,23 @@ func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errStatus(err), "%v", err)
 		return
 	}
+	// The mutant's sweep copies every sample the degradation cannot reach
+	// from the base model; the result equals a fresh sweep byte for byte.
+	cfg.Base = &core.Base{Machine: base, Model: beforeMM}
 	afterMM, _, _, err := s.characterizeCached(r.Context(), mutant, afterFP, cfg)
 	if err != nil {
 		writeError(w, errStatus(err), "%v", err)
 		return
 	}
 
-	modes := req.Modes
-	if len(modes) == 0 {
-		modes = []string{core.ModeWrite.String(), core.ModeRead.String()}
-	}
 	resp := whatifResponse{BeforeFingerprint: beforeFP, AfterFingerprint: afterFP, Target: req.Target}
-	for _, ms := range modes {
-		mode, err := core.ParseMode(ms)
+	for i, mode := range modes {
+		before, err := beforeMM.ModelFor(target, mode)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		before, err := beforeMM.ModelFor(topology.NodeID(req.Target), mode)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		after, err := afterMM.ModelFor(topology.NodeID(req.Target), mode)
+		after, err := afterMM.ModelFor(target, mode)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "%v", err)
 			return
@@ -700,7 +711,7 @@ func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
-		res := whatifModeResult{Mode: ms}
+		res := whatifModeResult{Mode: names[i]}
 		for _, d := range diffs {
 			res.Diffs = append(res.Diffs, nodeDiffJSON{
 				Node:         int(d.Node),

@@ -229,3 +229,61 @@ func TestRequestDeadlineIs504(t *testing.T) {
 		t.Fatalf("hung characterization = %d %s, want 504", status, body)
 	}
 }
+
+// breakerCount is the number of circuit breakers the server holds.
+func breakerCount(s *Server) int {
+	s.brMu.Lock()
+	defer s.brMu.Unlock()
+	return len(s.breakers)
+}
+
+// TestBreakersBounded: a breaker lives only while its key is failing.
+// Distinct successful what-ifs — each a new mutant machine, so a new
+// model key — leave none behind; a failure creates one and the next
+// successful computation of that key drops it again.
+func TestBreakersBounded(t *testing.T) {
+	var induceFailure atomic.Bool
+	s := New(Config{
+		Workers:          1,
+		BreakerThreshold: 3,
+		Clock:            resilience.NewAutoClock(time.Unix(0, 0)),
+		Characterize: func(ctx context.Context, m *topology.Machine, cfg core.Config) (*core.MachineModel, error) {
+			if induceFailure.Load() {
+				return nil, fmt.Errorf("induced characterization failure")
+			}
+			return DefaultCharacterize(ctx, m, cfg)
+		},
+	})
+	post := func(path, body string) int {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		return rec.Code
+	}
+	for i := 0; i < 1000; i++ {
+		body := fmt.Sprintf(`{"machine": "intel-4s4n", "config": {"repeats": 1, "sigma": -1}, "target": 3,
+			"degrade": [{"a": "node0", "b": "node1", "factor": %g}]}`, 0.2+0.0005*float64(i))
+		if code := post("/v1/whatif", body); code != http.StatusOK {
+			t.Fatalf("what-if %d = %d", i, code)
+		}
+	}
+	if n := breakerCount(s); n != 0 {
+		t.Fatalf("1000 successful what-ifs left %d breakers, want 0", n)
+	}
+
+	// A machine the what-ifs never touched, so its model is not cached.
+	const fresh = `{"machine": "magny-a", "config": {"repeats": 1, "sigma": -1}}`
+	induceFailure.Store(true)
+	if code := post("/v1/characterize", fresh); code != http.StatusInternalServerError {
+		t.Fatalf("failing characterize = %d, want 500", code)
+	}
+	if n := breakerCount(s); n != 1 {
+		t.Fatalf("after a failure: %d breakers, want 1", n)
+	}
+	induceFailure.Store(false)
+	if code := post("/v1/characterize", fresh); code != http.StatusOK {
+		t.Fatalf("recovered characterize = %d, want 200", code)
+	}
+	if n := breakerCount(s); n != 0 {
+		t.Fatalf("after a success: %d breakers, want 0", n)
+	}
+}

@@ -296,7 +296,7 @@ func (s *Server) characterizeCached(ctx context.Context, m *topology.Machine, fp
 	cfg.Tracer = s.pipe.Tracer()
 	key := fp + "|" + configKey(cfg)
 
-	br := s.breakerFor(key)
+	br := s.breaker(key)
 	if br != nil && !br.Allow() {
 		if mm, ok := s.cache.GetStale(key); ok {
 			s.staleServed.Inc()
@@ -350,12 +350,8 @@ func (s *Server) characterizeCached(ctx context.Context, m *topology.Machine, fp
 	// Only the caller that actually computed (or failed to) moves the
 	// breaker; cache hits and coalesced followers say nothing about the
 	// machine's health.
-	if br != nil && !cached {
-		if err != nil {
-			br.Failure()
-		} else {
-			br.Success()
-		}
+	if !cached {
+		s.recordOutcome(key, err)
 	}
 	if err != nil {
 		if mm, ok := s.cache.GetStale(key); ok {
@@ -369,15 +365,38 @@ func (s *Server) characterizeCached(ctx context.Context, m *topology.Machine, fp
 	return mm, cached, false, nil
 }
 
-// breakerFor returns the circuit breaker guarding one cache key, creating
-// it on first use; nil when breakers are disabled.
-func (s *Server) breakerFor(key string) *resilience.Breaker {
+// breaker returns the circuit breaker guarding one cache key, or nil when
+// the key has none: breakers are disabled, or the key's last computation
+// succeeded. A lookup never creates one, so cache hits and healthy keys
+// cost the map nothing.
+func (s *Server) breaker(key string) *resilience.Breaker {
 	if s.breakerThreshold <= 0 {
 		return nil
 	}
 	s.brMu.Lock()
 	defer s.brMu.Unlock()
+	return s.breakers[key]
+}
+
+// recordOutcome moves the key's breaker after a computation. A failure
+// creates the breaker on first use; a success closes it and drops it. So
+// s.breakers holds only keys that are open, half-open or whose last
+// computation failed, however many distinct machines the daemon serves.
+// Computations of one key are serialized by ModelCache.GetOrCompute.
+func (s *Server) recordOutcome(key string, err error) {
+	if s.breakerThreshold <= 0 {
+		return
+	}
+	s.brMu.Lock()
 	br, ok := s.breakers[key]
+	if err == nil {
+		delete(s.breakers, key)
+		s.brMu.Unlock()
+		if ok {
+			br.Success()
+		}
+		return
+	}
 	if !ok {
 		br = resilience.NewBreaker(s.breakerThreshold, s.breakerCooldown, s.clock)
 		br.SetTransitionHook(func(from, to resilience.BreakerState) {
@@ -396,7 +415,8 @@ func (s *Server) breakerFor(key string) *resilience.Breaker {
 		})
 		s.breakers[key] = br
 	}
-	return br
+	s.brMu.Unlock()
+	br.Failure()
 }
 
 // openBreakers counts breakers currently open — the numaiod_breaker_open
@@ -428,9 +448,10 @@ func errStatus(err error) int {
 }
 
 // configKey canonicalizes the characterization options that shape a model
-// — the shared suffix of model- and response-cache keys. Parallelism is
-// deliberately absent: parallel and serial characterizations are
-// bit-identical, so they share cache entries.
+// — the shared suffix of model- and response-cache keys. Parallelism,
+// Tracer and Base are deliberately absent: none of them changes a model's
+// bytes, so a what-if mutant built from its base model shares the cache
+// entry of a plain characterization of the same machine.
 func configKey(cfg core.Config) string {
 	return fmt.Sprintf("t%d r%d b%d g%g s%g",
 		cfg.Threads, cfg.Repeats, int64(cfg.BytesPerThread), cfg.GapThreshold, cfg.Sigma)

@@ -389,6 +389,26 @@ func TestWhatif(t *testing.T) {
 	}
 }
 
+// TestWhatifValidatesFirst: an unknown target or mode is a 400 before any
+// characterization — neither the base nor the mutant is swept.
+func TestWhatifValidatesFirst(t *testing.T) {
+	var runs atomic.Int64
+	ts := newTestServer(t, &runs)
+	for name, body := range map[string]string{
+		"unknown target": `{"machine": "intel-4s4n", "config": {"repeats": 1, "sigma": -1},
+			"target": 9, "degrade": [{"a": "node0", "b": "node3", "factor": 0.2}]}`,
+		"unknown mode": `{"machine": "intel-4s4n", "config": {"repeats": 1, "sigma": -1},
+			"target": 3, "modes": ["write", "sideways"], "degrade": [{"a": "node0", "b": "node3", "factor": 0.2}]}`,
+	} {
+		if status, out := postJSON(t, ts.URL+"/v1/whatif", body); status != http.StatusBadRequest {
+			t.Errorf("%s = %d %s, want 400", name, status, out)
+		}
+	}
+	if got := runs.Load(); got != 0 {
+		t.Errorf("invalid what-ifs ran Algorithm 1 %d times, want 0", got)
+	}
+}
+
 func TestAsyncCharacterizeJob(t *testing.T) {
 	var runs atomic.Int64
 	ts := newTestServer(t, &runs)

@@ -67,6 +67,56 @@ func BenchmarkCharacterizeAll(b *testing.B) {
 	}
 }
 
+// BenchmarkWhatif is one /v1/whatif characterization of the mutant as the
+// daemon runs it: clone DL585 G7, degrade node0<->node7 to 0.35 (the A5
+// change), boot a system and sweep the whole host at parallelism 4 —
+// fresh, and with the base machine's model as Config.Base, which copies
+// every sample the change cannot reach. scripts/bench.sh -check gates
+// reuse against fresh within one run.
+func BenchmarkWhatif(b *testing.B) {
+	base := topology.DL585G7()
+	baseSys, err := numa.NewSystem(base)
+	if err != nil {
+		b.Fatal(err)
+	}
+	bc, err := core.NewCharacterizer(baseSys, core.Config{Parallelism: 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	baseMM, err := bc.CharacterizeAll()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		base *core.Base
+	}{
+		{"fresh", nil},
+		{"reuse", &core.Base{Machine: base, Model: baseMM}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				mutant := base.Clone()
+				if err := mutant.DegradeLinkBetween("node0", "node7", 0.35); err != nil {
+					b.Fatal(err)
+				}
+				sys, err := numa.NewSystem(mutant)
+				if err != nil {
+					b.Fatal(err)
+				}
+				c, err := core.NewCharacterizer(sys, core.Config{Parallelism: 4, Base: tc.base})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := c.CharacterizeAll(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // benchTransfers builds a 32-transfer fluid workload over the DL585G7
 // fabric: four copy streams from every node into node 7.
 func benchTransfers(b *testing.B, m *topology.Machine) ([]fabric.Resource, []simhost.Transfer) {

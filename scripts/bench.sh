@@ -12,7 +12,9 @@
 # B/op and allocs/op against the most recent recorded BENCH_*.json,
 # failing on a slowdown — or an allocation regression — beyond TOLERANCE,
 # plus absolute gates on the sweep hot path (CharacterizeAll <= 512000
-# B/op, RunFluid <= 10 allocs/op) and on the telemetry tax (flight recorder
+# B/op, RunFluid <= 10 allocs/op), a same-run gate on the what-if path
+# (Whatif/reuse faster than Whatif/fresh at no more than half its
+# allocs/op) and on the telemetry tax (flight recorder
 # on/off request ratio <= RECORDER_TOLERANCE, FlightRecorderRecord at 0
 # allocs/op) — the CI bench-regression guard. Both gate passes always run
 # and print every verdict; the script fails if either does. Nothing is
@@ -52,7 +54,7 @@ if [ "${1:-}" = "-check" ]; then
     trap 'rm -rf "$tmp"' EXIT
     echo "bench.sh -check: comparing against $baseline (limit ${tolerance}x)"
     go test -run '^$' \
-        -bench '^(BenchmarkCharacterizeAll|BenchmarkRunFluid|BenchmarkSolverIncremental|BenchmarkPredictRequest|BenchmarkPlaceRequest|BenchmarkRecorderOverhead|BenchmarkFlightRecorderRecord)$' \
+        -bench '^(BenchmarkCharacterizeAll|BenchmarkWhatif|BenchmarkRunFluid|BenchmarkSolverIncremental|BenchmarkPredictRequest|BenchmarkPlaceRequest|BenchmarkRecorderOverhead|BenchmarkFlightRecorderRecord)$' \
         -benchmem -benchtime "${BENCHTIME:-1s}" . | tee "$tmp/bench.txt"
     # The recorder on/off ratio compares two ~16us request paths, so its
     # signal (~0.4us) is the same size as scheduler noise in one sample.
@@ -157,6 +159,8 @@ if [ "${1:-}" = "-check" ]; then
         if (($5 + 0) > maxsweepb) { maxsweepb = $5 + 0; maxsweepname = $1 }
     }
     /^BenchmarkRunFluid/ { fluidallocs = $7 + 0; seenfluid = 1 }
+    /^BenchmarkWhatif\/fresh/ { wfresh = $3 + 0; wfreshallocs = $7 + 0 }
+    /^BenchmarkWhatif\/reuse/ { wreuse = $3 + 0; wreuseallocs = $7 + 0 }
     END {
         bad = 0
         if (inc && full) {
@@ -192,6 +196,23 @@ if [ "${1:-}" = "-check" ]; then
             }
         } else {
             print "bench.sh -check: CharacterizeAll results missing" > "/dev/stderr"
+            bad = 1
+        }
+        # Both what-if sweeps run in this process, so the comparison
+        # holds on any host.
+        if (wfresh && wreuse) {
+            printf "what-if reuse %.0f ns/op, %.0f allocs/op vs fresh %.0f ns/op, %.0f allocs/op (%.2fx faster)\n",
+                wreuse, wreuseallocs, wfresh, wfreshallocs, wfresh / wreuse
+            if (wreuse >= wfresh) {
+                print "bench.sh -check: what-if reuse is not faster than the fresh sweep" > "/dev/stderr"
+                bad = 1
+            }
+            if (wreuseallocs * 2 > wfreshallocs) {
+                print "bench.sh -check: what-if reuse allocates more than half of the fresh sweep" > "/dev/stderr"
+                bad = 1
+            }
+        } else {
+            print "bench.sh -check: Whatif fresh/reuse results missing" > "/dev/stderr"
             bad = 1
         }
         if (seenfluid) {
@@ -243,7 +264,7 @@ txt="BENCH_${rev}.txt"
 json="BENCH_${rev}.json"
 
 go test -run '^$' \
-    -bench '^(BenchmarkCharacterize|BenchmarkCharacterizeAll|BenchmarkRunFluid|BenchmarkSolver|BenchmarkSolverIncremental|BenchmarkPredictRequest|BenchmarkPlaceRequest|BenchmarkRecorderOverhead|BenchmarkFlightRecorderRecord)$' \
+    -bench '^(BenchmarkCharacterize|BenchmarkCharacterizeAll|BenchmarkWhatif|BenchmarkRunFluid|BenchmarkSolver|BenchmarkSolverIncremental|BenchmarkPredictRequest|BenchmarkPlaceRequest|BenchmarkRecorderOverhead|BenchmarkFlightRecorderRecord)$' \
     -benchmem -benchtime "$benchtime" -count "$count" . | tee "$txt"
 
 awk -v rev="$rev" -v benchtime="$benchtime" '
