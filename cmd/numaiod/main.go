@@ -29,7 +29,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
 	"net"
 	"net/http"
 	_ "net/http/pprof" // handlers gated behind the -pprof flag
@@ -65,7 +64,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	pprof := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	flightEvents := fs.Int("flight-events", 0, "flight recorder ring capacity (0 = 4096, negative disables)")
 	flightDump := fs.Bool("flight-dump", false, "dump the flight recorder to stderr on failures and breaker opens")
-	quiet := fs.Bool("quiet", false, "suppress request logs")
+	quiet := fs.Bool("quiet", false, "log nothing to stderr")
 	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
@@ -86,11 +85,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return cli.Usagef("-breaker-threshold must be nonnegative, got %d", *breakerThreshold)
 	}
 
-	logDst := io.Writer(os.Stderr)
-	if *quiet {
-		logDst = io.Discard
-	}
-	logger := slog.New(slog.NewTextHandler(logDst, nil))
+	// nil under -quiet, which then logs nothing, the daemon's own lines
+	// included.
+	logger := cli.DaemonLogger(os.Stderr, *quiet)
 
 	var dumpDst io.Writer
 	if *flightDump {
@@ -140,7 +137,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		mux.Handle("/debug/pprof/", http.DefaultServeMux)
 		mux.Handle("/", handler)
 		handler = mux
-		logger.Info("pprof enabled", "path", "/debug/pprof/")
+		if logger != nil {
+			logger.Info("pprof enabled", "path", "/debug/pprof/")
+		}
 	}
 	srv := &http.Server{Handler: handler}
 	errc := make(chan error, 1)
@@ -159,7 +158,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 
 	// Graceful shutdown: stop accepting, finish open requests, then drain
 	// async characterization jobs.
-	logger.Info("shutting down", "drain_timeout", *drainTimeout)
+	if logger != nil {
+		logger.Info("shutting down", "drain_timeout", *drainTimeout)
+	}
 	shutCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
 	if err := srv.Shutdown(shutCtx); err != nil {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"io"
 	"net/http"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -68,20 +69,7 @@ func TestServeAndGracefulShutdown(t *testing.T) {
 		done <- run(ctx, []string{"-addr", "127.0.0.1:0", "-quiet"}, &out)
 	}()
 
-	// Wait for the listen banner and extract the base URL.
-	var base string
-	deadline := time.Now().Add(10 * time.Second)
-	for base == "" {
-		if time.Now().After(deadline) {
-			t.Fatalf("daemon never announced its address; output: %q", out.String())
-		}
-		for _, line := range strings.Split(out.String(), "\n") {
-			if rest, ok := strings.CutPrefix(line, "listening on "); ok {
-				base = strings.TrimSpace(rest)
-			}
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	base := awaitBanner(t, &out)
 
 	resp, err := http.Get(base + "/healthz")
 	if err != nil {
@@ -132,4 +120,82 @@ func TestServeAndGracefulShutdown(t *testing.T) {
 	if _, err := http.Get(base + "/healthz"); err == nil {
 		t.Error("daemon still serving after shutdown")
 	}
+}
+
+// TestQuietLogsNothing boots the daemon with and without -quiet, serves a
+// request and shuts it down, with stderr captured: -quiet must write
+// nothing there, the daemon's own lines included, while the default logs
+// the request.
+func TestQuietLogsNothing(t *testing.T) {
+	for _, tc := range []struct {
+		args    []string
+		wantLog bool
+	}{
+		{[]string{"-quiet"}, false},
+		{nil, true},
+	} {
+		stderr := captureStderr(t, func() {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var out syncBuffer
+			done := make(chan error, 1)
+			go func() {
+				done <- run(ctx, append([]string{"-addr", "127.0.0.1:0"}, tc.args...), &out)
+			}()
+			base := awaitBanner(t, &out)
+			resp, err := http.Get(base + "/healthz")
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			cancel()
+			if err := <-done; err != nil {
+				t.Fatalf("shutdown returned %v", err)
+			}
+		})
+		if logged := strings.Contains(stderr, "path=/healthz"); logged != tc.wantLog {
+			t.Errorf("args %v: request logged %v, want %v; stderr:\n%s", tc.args, logged, tc.wantLog, stderr)
+		}
+		if !tc.wantLog && stderr != "" {
+			t.Errorf("-quiet wrote to stderr:\n%s", stderr)
+		}
+	}
+}
+
+// captureStderr runs fn with os.Stderr redirected to a pipe and returns
+// what fn wrote there.
+func captureStderr(t *testing.T, fn func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		read <- string(b)
+	}()
+	saved := os.Stderr
+	os.Stderr = w
+	defer func() { os.Stderr = saved }()
+	fn()
+	w.Close()
+	return <-read
+}
+
+// awaitBanner waits for the daemon's listen banner and returns its base
+// URL.
+func awaitBanner(t *testing.T, out *syncBuffer) string {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for time.Now().Before(deadline) {
+		for _, line := range strings.Split(out.String(), "\n") {
+			if rest, ok := strings.CutPrefix(line, "listening on "); ok {
+				return strings.TrimSpace(rest)
+			}
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	t.Fatalf("daemon never announced its address; output: %q", out.String())
+	return ""
 }

@@ -34,7 +34,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -104,7 +103,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	timeout := fs.Duration("timeout", 30*time.Second, "per-forward HTTP timeout")
 	flightEvents := fs.Int("flight-events", 0, "flight recorder ring capacity (0 = 4096, negative disables)")
 	flightDump := fs.Bool("flight-dump", false, "dump the flight recorder to stderr on 5xx responses")
-	quiet := fs.Bool("quiet", false, "suppress request and forward logs")
+	quiet := fs.Bool("quiet", false, "log nothing to stderr")
 	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
@@ -124,11 +123,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return err
 	}
 
-	logDst := io.Writer(os.Stderr)
-	if *quiet {
-		logDst = io.Discard
-	}
-	logger := slog.New(slog.NewTextHandler(logDst, nil))
+	// nil under -quiet, which then logs nothing, the gateway's own lines
+	// included.
+	logger := cli.DaemonLogger(os.Stderr, *quiet)
 
 	var dumpDst io.Writer
 	if *flightDump {
@@ -166,10 +163,12 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(out, "listening on http://%s\n", ln.Addr())
-	logger.Info("fleet gateway up",
-		"replicas", len(cfg.Replicas),
-		"vnodes", cfg.VNodes,
-		"replication", cfg.Replication)
+	if logger != nil {
+		logger.Info("fleet gateway up",
+			"replicas", len(cfg.Replicas),
+			"vnodes", cfg.VNodes,
+			"replication", cfg.Replication)
+	}
 
 	healthCtx, stopHealth := context.WithCancel(ctx)
 	defer stopHealth()
@@ -190,7 +189,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	case <-ctx.Done():
 	}
 
-	logger.Info("shutting down")
+	if logger != nil {
+		logger.Info("shutting down")
+	}
 	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(shutCtx); err != nil {

@@ -11,6 +11,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"os"
 	"strings"
 	"sync"
@@ -98,6 +99,18 @@ func fingerprinted(m *topology.Machine) (*topology.Machine, string, error) {
 		return nil, "", err
 	}
 	return m, fp, nil
+}
+
+// DaemonLogger returns the structured logger behind a daemon's -quiet
+// flag: text lines on w, or nil when quiet. A nil Logger in service.Config
+// or fleet.GatewayConfig lets the request pipeline's Enabled check skip
+// building each request's log attributes, which a logger on io.Discard
+// would build and format only to drop.
+func DaemonLogger(w io.Writer, quiet bool) *slog.Logger {
+	if quiet {
+		return nil
+	}
+	return slog.New(slog.NewTextHandler(w, nil))
 }
 
 // Exit-code contract for the cmd/* binaries:

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"numaio/internal/topology"
@@ -153,5 +154,18 @@ func TestResolveMachineMemoizedAllocs(t *testing.T) {
 	})
 	if allocs > 4 {
 		t.Errorf("memoized named resolve: %.0f allocs, want <= 4", allocs)
+	}
+}
+
+// TestDaemonLogger: -quiet yields no logger at all, so the daemons'
+// request pipelines build no log attributes; otherwise lines go to w.
+func TestDaemonLogger(t *testing.T) {
+	var buf bytes.Buffer
+	if l := DaemonLogger(&buf, true); l != nil {
+		t.Fatalf("quiet logger = %v, want nil", l)
+	}
+	DaemonLogger(&buf, false).Info("request", "status", 200)
+	if got := buf.String(); !strings.Contains(got, "msg=request status=200") {
+		t.Errorf("logged %q, want a text line", got)
 	}
 }

@@ -226,3 +226,44 @@ func TestPredictBatch(t *testing.T) {
 		t.Errorf("batch item (%v) != single predict (%v)", resp.Results[0].PredictedBPS, one.PredictedBPS)
 	}
 }
+
+// TestBodyTooLarge: a predict or place body past 1 MiB is answered 413
+// with the uniform error body, caches nothing, and leaves the daemon
+// serving.
+func TestBodyTooLarge(t *testing.T) {
+	var runs atomic.Int64
+	ts := newTestServer(t, &runs)
+	huge := `{"machine": "intel-4s4n", "fingerprint": "` + strings.Repeat("f", 1<<20) + `"}`
+	for _, path := range []string{"/v1/predict", "/v1/place"} {
+		status, body := postJSON(t, ts.URL+path, huge)
+		if status != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: status %d, want 413 (%.200s)", path, status, body)
+		}
+		var e struct {
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal(body, &e); err != nil || !strings.Contains(e.Error, "exceeds") {
+			t.Errorf("%s: error body %.200s (%v)", path, body, err)
+		}
+	}
+	// A body of exactly the bound is read and decoded as usual.
+	pad := strings.Repeat(" ", 1<<20-len(predictBody))
+	if status, body := postJSON(t, ts.URL+"/v1/predict", predictBody+pad); status != http.StatusOK {
+		t.Errorf("1 MiB predict = %d %s", status, body)
+	}
+	if status, _ := getJSON(t, ts.URL+"/healthz"); status != http.StatusOK {
+		t.Errorf("healthz = %d after oversized bodies", status)
+	}
+	_, metrics := getJSON(t, ts.URL+"/metrics")
+	for _, want := range []string{
+		"numaiod_predict_cache_misses_total 1",
+		"numaiod_predict_cache_entries 1",
+		"numaiod_place_cache_misses_total 0",
+		"numaiod_place_cache_entries 0",
+		`numaiod_requests_total{endpoint="/v1/predict",status="413"} 1`,
+	} {
+		if !strings.Contains(string(metrics), want) {
+			t.Errorf("metrics missing %q", want)
+		}
+	}
+}

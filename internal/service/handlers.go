@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net/http"
@@ -72,16 +73,20 @@ type characterizeResponse struct {
 }
 
 func (s *Server) handleCharacterize(w http.ResponseWriter, r *http.Request) {
+	stg := telemetry.StagesFromContext(r.Context())
+	start := time.Now()
 	var req characterizeRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(r.Body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	start = stg.Lap("decode", start)
 	m, fp, err := cli.ResolveMachine(req.Machine)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	stg.Lap("resolve", start)
 	cfg := req.Config.toCore()
 
 	if req.Async {
@@ -161,9 +166,14 @@ type predictResponse struct {
 
 // modelForRequest resolves the whole-host model behind a request that
 // carries either a cached fingerprint or a machine to (re-)characterize.
+// Looking up the fingerprint, or resolving the machine, is the request's
+// "resolve" stage.
 func (s *Server) modelForRequest(ctx context.Context, fingerprint string, machine json.RawMessage, cfg core.Config) (*core.MachineModel, int, error) {
+	stg := telemetry.StagesFromContext(ctx)
+	start := time.Now()
 	if fingerprint != "" {
 		mm, ok := s.cache.FindByFingerprint(fingerprint)
+		stg.Lap("resolve", start)
 		if !ok {
 			return nil, http.StatusNotFound, fmt.Errorf("no cached model with fingerprint %q (characterize first or send a machine)", fingerprint)
 		}
@@ -173,6 +183,7 @@ func (s *Server) modelForRequest(ctx context.Context, fingerprint string, machin
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
+	stg.Lap("resolve", start)
 	mm, _, _, err := s.characterizeCached(ctx, m, fp, cfg)
 	if err != nil {
 		return nil, errStatus(err), err
@@ -256,9 +267,13 @@ func appendMixKey(b *strings.Builder, mix map[string]float64, counts map[string]
 	}
 }
 
-func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
+// handlePredict serves a predict request whose body handleCached has read
+// and found in no exact-bytes index.
+func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, body []byte) {
+	stg := telemetry.StagesFromContext(r.Context())
+	start := time.Now()
 	var req predictRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(bytes.NewReader(body), &req); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -277,12 +292,15 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	cfg := req.Config.toCore()
+	start = stg.Lap("decode", start)
 	key := predictCacheKey(&req, cfg)
-	lookupStart := time.Now()
-	body, hit := s.predictCache.Get(key)
-	telemetry.StagesFromContext(r.Context()).Add("cache", time.Since(lookupStart))
+	cached, hit := s.predictCache.Get(key)
 	if hit {
-		writeJSONBytes(w, http.StatusOK, body)
+		s.predictCache.Alias(key, body)
+	}
+	stg.Lap("cache", start)
+	if hit {
+		writeJSONBytes(w, http.StatusOK, cached)
 		return
 	}
 	mm, status, err := s.modelForRequest(r.Context(), req.Fingerprint, req.Machine, cfg)
@@ -290,11 +308,13 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, "%v", err)
 		return
 	}
+	start = time.Now()
 	predicted, err := predictOne(mm, req.Target, req.Mode, req.Mix, req.Counts)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	stg.Lap("predict", start)
 	writeJSONCached(w, http.StatusOK, predictResponse{
 		Fingerprint:   mm.Fingerprint,
 		Target:        req.Target,
@@ -336,8 +356,10 @@ type predictBatchResponse struct {
 }
 
 func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
+	stg := telemetry.StagesFromContext(r.Context())
+	start := time.Now()
 	var req predictBatchRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(r.Body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -345,11 +367,13 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "batch has no items")
 		return
 	}
+	stg.Lap("decode", start)
 	mm, status, err := s.modelForRequest(r.Context(), req.Fingerprint, req.Machine, req.Config.toCore())
 	if err != nil {
 		writeError(w, status, "%v", err)
 		return
 	}
+	start = time.Now()
 	resp := predictBatchResponse{
 		Fingerprint: mm.Fingerprint,
 		Results:     make([]predictBatchResult, len(req.Items)),
@@ -364,6 +388,7 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Results[i] = res
 	}
+	stg.Lap("predict", start)
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -441,24 +466,37 @@ type placeResponse struct {
 	AggregateBPS  float64             `json:"aggregate_bps,omitempty"`
 }
 
+// engine is the request's engine, memcpy when it names none.
+func (req *placeRequest) engine() string {
+	if req.Engine == "" {
+		return "memcpy"
+	}
+	return req.Engine
+}
+
 // placeCacheKey canonicalizes every placement-shaping field of a place
 // request. Placements and (simulated) evaluations are deterministic, so
-// equal-shaped requests share one rendered response.
+// equal-shaped requests share one rendered response. The free-form
+// strings are quoted, so no engine, policy or cluster policy can spell
+// another request's fields.
 func placeCacheKey(req *placeRequest, cfg core.Config) string {
 	var b strings.Builder
 	b.Write(req.Machine)
 	b.WriteByte('|')
 	b.WriteString(configKey(cfg))
-	fmt.Fprintf(&b, "|%d|%s|%d|%t|%d|%d|%s|",
-		req.Target, req.Engine, req.Tasks, req.Evaluate, req.SizePerTask,
-		req.Replicas, req.ClusterPolicy)
-	b.WriteString(strings.Join(req.Policies, ","))
+	fmt.Fprintf(&b, "|%d|%q|%d|%t|%d|%d|%q|%q",
+		req.Target, req.engine(), req.Tasks, req.Evaluate, req.SizePerTask,
+		req.Replicas, req.ClusterPolicy, req.Policies)
 	return b.String()
 }
 
-func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
+// handlePlace serves a place request whose body handleCached has read and
+// found in no exact-bytes index.
+func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request, body []byte) {
+	stg := telemetry.StagesFromContext(r.Context())
+	start := time.Now()
 	var req placeRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(bytes.NewReader(body), &req); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -466,18 +504,17 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "tasks must be positive")
 		return
 	}
-	engine := req.Engine
-	if engine == "" {
-		engine = "memcpy"
-	}
-	req.Engine = engine // canonical for the cache key
+	engine := req.engine()
 	cfg := req.Config.toCore()
+	start = stg.Lap("decode", start)
 	key := placeCacheKey(&req, cfg)
-	lookupStart := time.Now()
-	body, hit := s.placeCache.Get(key)
-	telemetry.StagesFromContext(r.Context()).Add("cache", time.Since(lookupStart))
+	cached, hit := s.placeCache.Get(key)
 	if hit {
-		writeJSONBytes(w, http.StatusOK, body)
+		s.placeCache.Alias(key, body)
+	}
+	start = stg.Lap("cache", start)
+	if hit {
+		writeJSONBytes(w, http.StatusOK, cached)
 		return
 	}
 	m, fp, err := cli.ResolveMachine(req.Machine)
@@ -485,11 +522,15 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	stg.Lap("resolve", start)
 	mm, _, _, err := s.characterizeCached(r.Context(), m, fp, cfg)
 	if err != nil {
 		writeError(w, errStatus(err), "%v", err)
 		return
 	}
+	// Placement, with its estimates or evaluation, is the request's
+	// "predict" stage.
+	start = time.Now()
 	target := topology.NodeID(req.Target)
 	resp := placeResponse{Fingerprint: mm.Fingerprint, Target: req.Target, Engine: engine, Tasks: req.Tasks}
 
@@ -498,6 +539,7 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
+		stg.Lap("predict", start)
 		writeJSONCached(w, http.StatusOK, resp, s.placeCache, key)
 		return
 	}
@@ -543,6 +585,7 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Results = append(resp.Results, res)
 	}
+	stg.Lap("predict", start)
 	writeJSONCached(w, http.StatusOK, resp, s.placeCache, key)
 }
 
@@ -635,8 +678,10 @@ type whatifResponse struct {
 }
 
 func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
+	stg := telemetry.StagesFromContext(r.Context())
+	start := time.Now()
 	var req whatifRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(r.Body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -644,6 +689,7 @@ func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "degrade list is empty: nothing to re-characterize")
 		return
 	}
+	start = stg.Lap("decode", start)
 	base, beforeFP, err := cli.ResolveMachine(req.Machine)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
@@ -679,6 +725,7 @@ func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
+	stg.Lap("resolve", start)
 	cfg := req.Config.toCore()
 	beforeMM, _, _, err := s.characterizeCached(r.Context(), base, beforeFP, cfg)
 	if err != nil {
@@ -694,6 +741,8 @@ func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// Diffing the two models is the request's "predict" stage.
+	start = time.Now()
 	resp := whatifResponse{BeforeFingerprint: beforeFP, AfterFingerprint: afterFP, Target: req.Target}
 	for i, mode := range modes {
 		before, err := beforeMM.ModelFor(target, mode)
@@ -729,5 +778,6 @@ func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 		sort.Ints(res.ChangedNodes)
 		resp.Results = append(resp.Results, res)
 	}
+	stg.Lap("predict", start)
 	writeJSON(w, http.StatusOK, resp)
 }

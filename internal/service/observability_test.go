@@ -317,3 +317,61 @@ func TestMetricsExposition(t *testing.T) {
 		t.Error("two back-to-back metrics renders differ on an idle server")
 	}
 }
+
+// stageNames lists the stages of a Server-Timing value in order.
+func stageNames(serverTiming string) []string {
+	var names []string
+	for _, part := range strings.Split(serverTiming, ", ") {
+		if name, _, ok := strings.Cut(part, ";"); ok {
+			names = append(names, name)
+		}
+	}
+	return names
+}
+
+// TestServerTimingStageNames pins which stages each serving path reports,
+// in order: a characterize-on-miss predict uses seven of the eight slots,
+// a model-cache hit skips queue and solve, a respelled body's canonical
+// hit decodes and looks up, and a repeat of exact bytes reports only the
+// lookup. /v1/place and /v1/whatif report the same decode, resolve and
+// predict stages.
+func TestServerTimingStageNames(t *testing.T) {
+	var runs atomic.Int64
+	ts := newTestServer(t, &runs)
+	const respelled = `{"mode": "write", "target": 3, "machine": "intel-4s4n",
+ "mix": {"3": 0.5, "0": 0.5}, "config": {"sigma": -1, "repeats": 1}}`
+	for _, tc := range []struct {
+		name, path, body string
+		want             []string
+	}{
+		{"characterize-on-miss", "/v1/predict", predictBody,
+			[]string{"decode", "cache", "resolve", "queue", "solve", "predict", "encode"}},
+		{"model-cache hit", "/v1/predict", strings.Replace(predictBody, `"mode": "write"`, `"mode": "read"`, 1),
+			[]string{"decode", "cache", "resolve", "predict", "encode"}},
+		{"canonical hit", "/v1/predict", respelled, []string{"decode", "cache"}},
+		{"exact-bytes hit", "/v1/predict", respelled, []string{"cache"}},
+		{"place miss", "/v1/place", placeBody,
+			[]string{"decode", "cache", "resolve", "predict", "encode"}},
+		{"place exact-bytes hit", "/v1/place", placeBody, []string{"cache"}},
+		{"whatif", "/v1/whatif", `{"machine": "intel-4s4n", "config": {"repeats": 1, "sigma": -1},
+ "target": 3, "modes": ["write"], "degrade": [{"a": "node0", "b": "node1", "factor": 0.5}]}`,
+			[]string{"decode", "resolve", "cache", "queue", "solve", "predict", "encode"}},
+	} {
+		resp := doRequest(t, http.MethodPost, ts.URL+tc.path, tc.body, nil)
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if tc.name == "place exact-bytes hit" {
+			// The first repeat is the canonical hit that records the spelling.
+			resp = doRequest(t, http.MethodPost, ts.URL+tc.path, tc.body, nil)
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", tc.name, resp.StatusCode)
+		}
+		st := resp.Header.Get("Server-Timing")
+		if got := stageNames(st); strings.Join(got, ",") != strings.Join(tc.want, ",") {
+			t.Errorf("%s: stages %v (Server-Timing %q), want %v", tc.name, got, st, tc.want)
+		}
+	}
+}

@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"testing"
 	"time"
+
+	"numaio/internal/cli"
 )
 
 // nopWriter is a ResponseWriter that allocates nothing, so AllocsPerRun
@@ -46,4 +48,26 @@ func TestPipelineAllocs(t *testing.T) {
 		}
 		t.Logf("%s: %v allocs per request", tc.name, allocs)
 	}
+}
+
+// TestQuietBuildsNoRequestLog: the logger -quiet hands the daemon is nil,
+// so a request builds no log attributes and formats no line; a logger on
+// io.Discard, the old -quiet, still does both.
+func TestQuietBuildsNoRequestLog(t *testing.T) {
+	allocs := func(logger *slog.Logger) float64 {
+		s := New(Config{Logger: logger})
+		s.handle("POST /v1/noop", func(w http.ResponseWriter, r *http.Request) {})
+		req := httptest.NewRequest(http.MethodPost, "/v1/noop", nil)
+		w := &nopWriter{h: http.Header{}}
+		return testing.AllocsPerRun(1000, func() {
+			clear(w.h)
+			s.mux.ServeHTTP(w, req)
+		})
+	}
+	quiet := allocs(cli.DaemonLogger(io.Discard, true))
+	discard := allocs(cli.DaemonLogger(io.Discard, false))
+	if quiet >= discard {
+		t.Errorf("quiet request: %v allocs, want fewer than the %v of a logger on io.Discard", quiet, discard)
+	}
+	t.Logf("quiet %v, io.Discard logger %v allocs per request", quiet, discard)
 }

@@ -47,7 +47,7 @@ func (s *Server) installModel(fp string, mm *core.MachineModel) error {
 func (s *Server) handleModelInstall(w http.ResponseWriter, r *http.Request) {
 	fp := r.PathValue("fingerprint")
 	var mm core.MachineModel
-	if err := decodeBody(r, &mm); err != nil {
+	if err := decodeBody(r.Body, &mm); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -71,7 +71,7 @@ type modelPullRequest struct {
 // replication, driven by the gateway's hot-model tracking).
 func (s *Server) handleModelPull(w http.ResponseWriter, r *http.Request) {
 	var req modelPullRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(r.Body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}

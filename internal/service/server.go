@@ -233,26 +233,89 @@ func (s *Server) routes() {
 	s.handle("PUT /v1/models/{fingerprint}", s.handleModelInstall)
 	s.handle("POST /v1/models/pull", s.handleModelPull)
 	s.handle("GET /v1/jobs/{id}", s.handleJob)
-	s.handle("POST /v1/predict", s.handlePredict)
+	s.handleCached("POST /v1/predict", s.predictCache, s.handlePredict)
 	s.handle("POST /v1/predict/batch", s.handlePredictBatch)
-	s.handle("POST /v1/place", s.handlePlace)
+	s.handleCached("POST /v1/place", s.placeCache, s.handlePlace)
 	s.handle("POST /v1/whatif", s.handleWhatif)
 	s.pipe.DebugRoutes(s.mux)
 }
 
-// handle registers h behind the request pipeline. A configured
-// RequestTimeout becomes the request context's deadline here, on the
-// daemon's clock, so every API handler inherits it.
+// handle registers h behind the request pipeline, under the request
+// deadline.
 func (s *Server) handle(pattern string, h http.HandlerFunc) {
-	if s.requestTimeout > 0 {
-		next := h
-		h = func(w http.ResponseWriter, r *http.Request) {
-			ctx, cancel := resilience.ContextWithTimeout(r.Context(), s.clock, s.requestTimeout)
-			defer cancel()
-			next(w, r.WithContext(ctx))
-		}
+	s.pipe.Handle(s.mux, pattern, func(w http.ResponseWriter, r *http.Request) {
+		r, cancel := s.withDeadline(r)
+		defer cancel()
+		h(w, r)
+	})
+}
+
+// maxBodyBytes bounds the body of a response-cached request: 25 times the
+// largest shipped inline machine (hp-blade32, 41 KB). A longer one is
+// answered 413.
+const maxBodyBytes = 1 << 20
+
+// reqBody is a pooled request-body buffer with the bounded reader that
+// fills it, so reading a body allocates nothing once the pool is warm.
+type reqBody struct {
+	buf bytes.Buffer
+	lim io.LimitedReader
+}
+
+var bodyPool = sync.Pool{New: func() any { return new(reqBody) }}
+
+// release returns b to the pool, unless a rare large body grew it.
+func (b *reqBody) release() {
+	b.lim.R = nil
+	if b.buf.Cap() <= 64<<10 {
+		bodyPool.Put(b)
 	}
-	s.pipe.Handle(s.mux, pattern, h)
+}
+
+// handleCached registers a route whose 200 responses cache. Its wrapper
+// reads the body once, at most maxBodyBytes, and answers a request spelled
+// exactly like one an earlier canonical hit served straight from cache:
+// before the decode, the canonical key and the request deadline, with the
+// read and the lookup as its only stage, "cache". Any other body goes on
+// to h, under the deadline, which decodes the same bytes; its read and
+// probe are then the start of its "decode" stage.
+func (s *Server) handleCached(pattern string, cache *RespCache, h func(http.ResponseWriter, *http.Request, []byte)) {
+	s.pipe.Handle(s.mux, pattern, func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
+		rb := bodyPool.Get().(*reqBody)
+		defer rb.release()
+		rb.buf.Reset()
+		rb.lim = io.LimitedReader{R: r.Body, N: maxBodyBytes + 1}
+		if _, err := rb.buf.ReadFrom(&rb.lim); err != nil {
+			writeError(w, http.StatusBadRequest, "reading request body: %v", err)
+			return
+		}
+		if rb.buf.Len() > maxBodyBytes {
+			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", maxBodyBytes)
+			return
+		}
+		body := rb.buf.Bytes()
+		stg := telemetry.StagesFromContext(r.Context())
+		if cached, ok := cache.GetExact(body); ok {
+			stg.Lap("cache", start)
+			writeJSONBytes(w, http.StatusOK, cached)
+			return
+		}
+		stg.Lap("decode", start)
+		r, cancel := s.withDeadline(r)
+		defer cancel()
+		h(w, r, body)
+	})
+}
+
+// withDeadline returns r under the configured RequestTimeout, on the
+// daemon's clock, and the func that releases it.
+func (s *Server) withDeadline(r *http.Request) (*http.Request, context.CancelFunc) {
+	if s.requestTimeout <= 0 {
+		return r, func() {}
+	}
+	ctx, cancel := resilience.ContextWithTimeout(r.Context(), s.clock, s.requestTimeout)
+	return r.WithContext(ctx), cancel
 }
 
 // DumpFlightRecorder writes one flight-recorder dump to w — cmd/numaiod
@@ -526,8 +589,10 @@ func writeJSONCached(w http.ResponseWriter, status int, v any, cache *RespCache,
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	telemetry.StagesFromWriter(w).Add("encode", time.Since(start))
+	stg := telemetry.StagesFromWriter(w)
+	start = stg.Lap("encode", start)
 	cache.Put(key, body)
+	stg.Lap("cache", start)
 	writeJSONBytes(w, status, body)
 }
 
@@ -541,8 +606,8 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 }
 
 // decodeBody strictly decodes a JSON request body into v.
-func decodeBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+func decodeBody(body io.Reader, v any) error {
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("invalid JSON body: %w", err)

@@ -5,6 +5,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -112,6 +113,47 @@ func TestStagesHeaderAndAttrs(t *testing.T) {
 	}
 	if s.Len() != maxStages {
 		t.Errorf("Len() = %d after overflow, want %d", s.Len(), maxStages)
+	}
+}
+
+// TestAppendMillis: the integer rendering of a stage duration matches
+// strconv's fixed-precision float format, which Header used before, for
+// every duration that is not a tie at the microsecond.
+func TestAppendMillis(t *testing.T) {
+	ds := []time.Duration{0, 1, 499, 501, 999, 1000, 132 * time.Microsecond,
+		5210 * time.Microsecond, 999_999, time.Second + 1499, -2 * time.Millisecond,
+		-1234567, 90 * time.Minute}
+	for d := time.Duration(7); d < time.Hour; d = d*3 + 11 {
+		ds = append(ds, d)
+	}
+	for _, d := range ds {
+		if abs := max(d, -d); abs%time.Microsecond == time.Microsecond/2 {
+			continue
+		}
+		want := strconv.AppendFloat(nil, float64(d)/1e6, 'f', 3, 64)
+		if got := appendMillis(nil, d); string(got) != string(want) {
+			t.Errorf("appendMillis(%d) = %s, want %s", d, got, want)
+		}
+	}
+}
+
+// TestStagesLap: Lap charges the time since start to a stage and hands
+// back the next stage's start; a nil breakdown hands back start.
+func TestStagesLap(t *testing.T) {
+	var nilStages *Stages
+	t0 := time.Now()
+	if got := nilStages.Lap("decode", t0); !got.Equal(t0) {
+		t.Errorf("nil Lap = %v, want %v", got, t0)
+	}
+	s := new(Stages)
+	start := time.Now().Add(-time.Millisecond)
+	next := s.Lap("decode", start)
+	if d := s.Get("decode"); d < time.Millisecond || d != next.Sub(start) {
+		t.Errorf("decode = %v, want next-start = %v (>= 1ms)", d, next.Sub(start))
+	}
+	s.Lap("cache", next)
+	if s.Len() != 2 {
+		t.Errorf("Len() = %d, want 2", s.Len())
 	}
 }
 

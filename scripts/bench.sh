@@ -8,11 +8,13 @@
 # Compare two revisions with: benchstat BENCH_<old>.txt BENCH_<new>.txt
 #
 # With -check the script instead runs the CharacterizeAll/RunFluid and
-# PredictRequest/PlaceRequest hot paths once and compares their ns/op,
+# PredictRequest/PlaceRequest hot paths once (with the respelled-body and
+# response-cache-miss predict cases beside them) and compares their ns/op,
 # B/op and allocs/op against the most recent recorded BENCH_*.json,
 # failing on a slowdown — or an allocation regression — beyond TOLERANCE,
 # plus absolute gates on the sweep hot path (CharacterizeAll <= 512000
-# B/op, RunFluid <= 10 allocs/op), a same-run gate on the what-if path
+# B/op, RunFluid <= 10 allocs/op) and on the exact-bytes hit
+# (PredictRequest <= 30 allocs/op), a same-run gate on the what-if path
 # (Whatif/reuse faster than Whatif/fresh at no more than half its
 # allocs/op) and on the telemetry tax (flight recorder
 # on/off request ratio <= RECORDER_TOLERANCE, FlightRecorderRecord at 0
@@ -54,7 +56,7 @@ if [ "${1:-}" = "-check" ]; then
     trap 'rm -rf "$tmp"' EXIT
     echo "bench.sh -check: comparing against $baseline (limit ${tolerance}x)"
     go test -run '^$' \
-        -bench '^(BenchmarkCharacterizeAll|BenchmarkWhatif|BenchmarkRunFluid|BenchmarkSolverIncremental|BenchmarkPredictRequest|BenchmarkPlaceRequest|BenchmarkRecorderOverhead|BenchmarkFlightRecorderRecord)$' \
+        -bench '^(BenchmarkCharacterizeAll|BenchmarkWhatif|BenchmarkRunFluid|BenchmarkSolverIncremental|BenchmarkPredictRequest|BenchmarkPredictRequestRespelled|BenchmarkPredictRequestMiss|BenchmarkPlaceRequest|BenchmarkRecorderOverhead|BenchmarkFlightRecorderRecord)$' \
         -benchmem -benchtime "${BENCHTIME:-1s}" . | tee "$tmp/bench.txt"
     # The recorder on/off ratio compares two ~16us request paths, so its
     # signal (~0.4us) is the same size as scheduler noise in one sample.
@@ -159,6 +161,7 @@ if [ "${1:-}" = "-check" ]; then
         if (($5 + 0) > maxsweepb) { maxsweepb = $5 + 0; maxsweepname = $1 }
     }
     /^BenchmarkRunFluid/ { fluidallocs = $7 + 0; seenfluid = 1 }
+    $1 ~ /^BenchmarkPredictRequest(-[0-9]+)?$/ { predictallocs = $7 + 0; seenpredict = 1 }
     /^BenchmarkWhatif\/fresh/ { wfresh = $3 + 0; wfreshallocs = $7 + 0 }
     /^BenchmarkWhatif\/reuse/ { wreuse = $3 + 0; wreuseallocs = $7 + 0 }
     END {
@@ -225,6 +228,16 @@ if [ "${1:-}" = "-check" ]; then
             print "bench.sh -check: RunFluid results missing" > "/dev/stderr"
             bad = 1
         }
+        if (seenpredict) {
+            printf "PredictRequest allocations: %.0f allocs/op (ceiling 30)\n", predictallocs
+            if (predictallocs > 30) {
+                print "bench.sh -check: PredictRequest above the 30 allocs/op ceiling" > "/dev/stderr"
+                bad = 1
+            }
+        } else {
+            print "bench.sh -check: PredictRequest results missing" > "/dev/stderr"
+            bad = 1
+        }
         if (recoff && recon) {
             ratio = recon / recoff
             printf "flight recorder request tax: off %.0f ns/op, on %.0f ns/op (%.3fx, ceiling %.2fx)\n",
@@ -264,7 +277,7 @@ txt="BENCH_${rev}.txt"
 json="BENCH_${rev}.json"
 
 go test -run '^$' \
-    -bench '^(BenchmarkCharacterize|BenchmarkCharacterizeAll|BenchmarkWhatif|BenchmarkRunFluid|BenchmarkSolver|BenchmarkSolverIncremental|BenchmarkPredictRequest|BenchmarkPlaceRequest|BenchmarkRecorderOverhead|BenchmarkFlightRecorderRecord)$' \
+    -bench '^(BenchmarkCharacterize|BenchmarkCharacterizeAll|BenchmarkWhatif|BenchmarkRunFluid|BenchmarkSolver|BenchmarkSolverIncremental|BenchmarkPredictRequest|BenchmarkPredictRequestRespelled|BenchmarkPredictRequestMiss|BenchmarkPlaceRequest|BenchmarkRecorderOverhead|BenchmarkFlightRecorderRecord)$' \
     -benchmem -benchtime "$benchtime" -count "$count" . | tee "$txt"
 
 awk -v rev="$rev" -v benchtime="$benchtime" '

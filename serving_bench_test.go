@@ -1,15 +1,22 @@
-// Serving-path microbenchmarks: one hot /v1/predict and /v1/place request
-// against a warmed numaiod service (model already characterized and cached).
-// scripts/bench.sh records these next to the characterization benchmarks so
-// the request-path fast lane (interned solver IDs, response caching, pooled
-// encoders) is pinned by the same regression gate.
+// Serving-path microbenchmarks: /v1/predict and /v1/place requests against
+// a warmed numaiod service (model already characterized and cached).
+// PredictRequest and PlaceRequest repeat one body, which the exact-bytes
+// index answers; PredictRequestRespelled pays the canonical hit that
+// respelled bodies take, and PredictRequestMiss the response-cache miss
+// of traffic that never repeats. scripts/bench.sh records these next to
+// the characterization benchmarks so the request-path fast lane (interned
+// solver IDs, response caching, pooled encoders) is pinned by the same
+// regression gate.
 package numaio
 
 import (
+	"bytes"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"numaio/internal/service"
 )
@@ -18,8 +25,12 @@ import (
 // characterization of the reference machine, so the benchmark loop measures
 // pure request serving, not Algorithm 1.
 func benchHandler(b *testing.B, warm string) http.Handler {
+	return benchHandlerWith(b, service.Config{Workers: 2}, warm)
+}
+
+func benchHandlerWith(b *testing.B, cfg service.Config, warm string) http.Handler {
 	b.Helper()
-	svc := service.New(service.Config{Workers: 2})
+	svc := service.New(cfg)
 	h := svc.Handler()
 	rec := httptest.NewRecorder()
 	req := httptest.NewRequest(http.MethodPost, warmPath(warm), strings.NewReader(warm))
@@ -71,6 +82,51 @@ func BenchmarkPlaceRequest(b *testing.B) {
 		h.ServeHTTP(rec, req)
 		if rec.Code != http.StatusOK {
 			b.Fatalf("place = %d %s", rec.Code, rec.Body.String())
+		}
+	}
+}
+
+// BenchmarkPredictRequestRespelled measures a hot prediction whose body is
+// spelled unlike the one its cache entry remembers: the body is read,
+// missed by the exact-bytes index, decoded, keyed and served by a
+// canonical hit.
+func BenchmarkPredictRequestRespelled(b *testing.B) {
+	h := benchHandler(b, benchPredictBody)
+	// Repeating the warm-up body makes its spelling the entry's own.
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/predict", strings.NewReader(benchPredictBody)))
+	const respelled = `{"mix": {"7": 0.25, "4": 0.25, "2": 0.25, "0": 0.25}, "mode": "write", "target": 7,
+ "config": {"sigma": -1, "repeats": 1}, "machine": "dl585g7"}`
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodPost, "/v1/predict", strings.NewReader(respelled))
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			b.Fatalf("predict = %d %s", rec.Code, rec.Body.String())
+		}
+	}
+}
+
+// BenchmarkPredictRequestMiss measures a prediction no earlier request
+// asked for, at the daemon's default 30 s request deadline: a model-cache
+// hit and a response-cache miss, so the request is decoded, resolved,
+// predicted, encoded and cached (evicting once the cache is full).
+func BenchmarkPredictRequestMiss(b *testing.B) {
+	h := benchHandlerWith(b, service.Config{Workers: 2, RequestTimeout: 30 * time.Second}, benchPredictBody)
+	const prefix = `{"machine": "dl585g7", "config": {"repeats": 1, "sigma": -1},
+ "target": 7, "mode": "write", "counts": {"0": `
+	body := []byte(prefix)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		body = append(strconv.AppendInt(body[:len(prefix)], int64(i+1), 10), `, "7": 1}}`...)
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(body))
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			b.Fatalf("predict = %d %s", rec.Code, rec.Body.String())
 		}
 	}
 }
