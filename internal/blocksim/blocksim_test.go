@@ -84,8 +84,8 @@ func TestAgreesWithFluidModel(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, id := range []string{"a", "b"} {
-		fluidRate := float64(fluid.Transfers[id].InitialRate)
+	for i, id := range []string{"a", "b"} {
+		fluidRate := float64(fluid.Transfers[i].InitialRate)
 		desRate := float64(des[id].Throughput)
 		if rel := math.Abs(fluidRate-desRate) / fluidRate; rel > 0.15 {
 			t.Errorf("%s: fluid %.2f vs blocksim %.2f Gb/s (off %.0f%%)",

@@ -59,8 +59,8 @@ func (l *Lab) Validation() (*CrossValResult, error) {
 	}
 
 	out := &CrossValResult{}
-	for _, tr := range fluidTr {
-		f := fluid.Transfers[tr.ID].InitialRate
+	for i, tr := range fluidTr {
+		f := fluid.Transfers[i].InitialRate
 		b := blocks[tr.ID].Throughput
 		rel := math.Abs(float64(f-b)) / float64(f)
 		out.Rows = append(out.Rows, CrossValRow{ID: tr.ID, Fluid: f, Blocks: b, RelErr: rel})

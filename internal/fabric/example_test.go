@@ -27,8 +27,9 @@ func ExampleSolver() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("capped: %.0f Gb/s\n", alloc.Rate("capped").Gbps())
-	fmt.Printf("greedy: %.0f Gb/s\n", alloc.Rate("greedy").Gbps())
+	for i := 0; i < alloc.NumFlows(); i++ {
+		fmt.Printf("%s: %.0f Gb/s\n", alloc.FlowID(i), alloc.Rate(i).Gbps())
+	}
 	// Output:
 	// capped: 5 Gb/s
 	// greedy: 25 Gb/s

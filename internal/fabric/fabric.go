@@ -17,7 +17,7 @@
 // multi-user experiment (Sec. V-B).
 //
 // The solver is incremental: it keeps the converged allocation between
-// solves and, after AddFlow/RemoveFlow, re-levels only the connected
+// solves and, after AddFlow/RemoveFlowAt, re-levels only the connected
 // components of the flow/resource graph that actually changed (see solve).
 // Components whose flow and resource sets are untouched keep their stored
 // rates, which is bit-identical to re-solving them — within a component the
@@ -123,36 +123,6 @@ func (f Flow) unbounded() bool {
 	return f.Demand <= 0 || math.IsInf(float64(f.Demand), 1)
 }
 
-// Allocation is the result of Solve.
-type Allocation struct {
-	// Rates maps flow ID to allocated bandwidth.
-	Rates map[string]units.Bandwidth
-	// Bottlenecks maps flow ID to the resource that froze it, or "" if the
-	// flow was frozen by its own demand.
-	Bottlenecks map[string]ResourceID
-	// Utilization maps resource ID to the fraction of capacity in use.
-	Utilization map[ResourceID]float64
-}
-
-// Rate returns the allocated rate of a flow (0 if unknown).
-func (a *Allocation) Rate(flowID string) units.Bandwidth { return a.Rates[flowID] }
-
-// Aggregate returns the sum of all allocated rates, added in flow-ID order
-// so the same allocation always sums to the same bits (map order would
-// not).
-func (a *Allocation) Aggregate() units.Bandwidth {
-	ids := make([]string, 0, len(a.Rates))
-	for id := range a.Rates {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	var sum units.Bandwidth
-	for _, id := range ids {
-		sum += a.Rates[id]
-	}
-	return sum
-}
-
 // indexedUsage is a Usage resolved to a resource index, so the solve loops
 // run on slices instead of maps.
 type indexedUsage struct {
@@ -185,9 +155,9 @@ func (f *indexedFlow) unbounded() bool {
 
 // Solver accumulates resources and flows for allocation rounds. It is
 // reusable: Reset clears the flows while keeping the registered resources,
-// and RemoveFlow/RemoveFlowAt drop a single flow, so callers that re-solve
-// a shrinking flow set (the fluid executor) do not rebuild the resource
-// table each round. Between solves the Solver keeps the converged
+// and RemoveFlowAt/RemoveFlowsAt drop flows by index, so callers that
+// re-solve a shrinking flow set (the fluid executor) do not rebuild the
+// resource table each round. Between solves the Solver keeps the converged
 // allocation plus a dirty set of resources whose usage changed, so a solve
 // after a small add/remove delta re-levels only the affected connected
 // components. A Solver is not safe for concurrent use.
@@ -197,11 +167,6 @@ type Solver struct {
 	sorted   []int32 // resource indices in ascending ID order
 	rank     []int32 // rank[resIdx] = position of the resource in sorted order
 	flows    []indexedFlow
-	flowIdx  map[string]int // flow ID -> index into flows; stale if idxStale
-
-	// idxStale marks flowIdx values as outdated after an index-based
-	// removal; by-ID lookups rebuild the map lazily (ensureIdx).
-	idxStale bool
 
 	// solved reports that every flow with bn != bnUnsolved carries its
 	// converged rate and bottleneck from the last successful solve.
@@ -217,7 +182,7 @@ type Solver struct {
 	// Scratch buffers reused across Solve calls.
 	frozenLoad   []float64
 	activeWeight []float64
-	util         []float64 // final per-resource utilization (SolveIndexed)
+	util         []float64 // final per-resource utilization (Allocation)
 
 	// Component-labeling scratch (see labelComponents).
 	resStart  []int32 // per-resource offsets into resFlows (len nr+1)
@@ -249,10 +214,7 @@ type Solver struct {
 
 // NewSolver returns an empty solver.
 func NewSolver() *Solver {
-	return &Solver{
-		resIndex: make(map[ResourceID]int),
-		flowIdx:  make(map[string]int),
-	}
+	return &Solver{resIndex: make(map[ResourceID]int)}
 }
 
 // SetResource registers (or replaces) a resource. Capacity must be positive.
@@ -322,28 +284,13 @@ func (s *Solver) clearDirty() {
 // Invalidate discards the converged allocation, forcing the next solve to
 // re-level every flow. Callers that change solver inputs behind its back
 // (or want to compare against a from-scratch pass) use it; normal
-// AddFlow/RemoveFlow/SetResource deltas are tracked automatically.
+// AddFlow/RemoveFlowAt/SetResource deltas are tracked automatically.
 func (s *Solver) Invalidate() {
 	if !s.solved {
 		return
 	}
 	s.clearDirty()
 	s.solved = false
-}
-
-// ensureIdx rebuilds the flow index map after index-based removals made the
-// stored indices stale.
-func (s *Solver) ensureIdx() {
-	if !s.idxStale {
-		return
-	}
-	// Rebuild from scratch: once the index is stale, removals stop deleting
-	// their entries eagerly (see RemoveFlowAt), so leftover keys must go.
-	clear(s.flowIdx)
-	for i := range s.flows {
-		s.flowIdx[s.flows[i].id] = i
-	}
-	s.idxStale = false
 }
 
 // spareUsages returns a zero-length usage slice for the next registered
@@ -357,15 +304,13 @@ func (s *Solver) spareUsages() []indexedUsage {
 	return nil
 }
 
-// AddFlow registers a flow. Duplicate usages of the same resource are merged
-// by summing weights. Every referenced resource must already be registered.
+// AddFlow registers a flow at the next dense index. Duplicate usages of the
+// same resource are merged by summing weights. Every referenced resource
+// must already be registered. Flow IDs label the flow in errors and in
+// Allocation.FlowID; the solver does not check them for uniqueness.
 func (s *Solver) AddFlow(f Flow) error {
 	if f.ID == "" {
 		return fmt.Errorf("fabric: flow with empty ID")
-	}
-	s.ensureIdx()
-	if _, dup := s.flowIdx[f.ID]; dup {
-		return fmt.Errorf("fabric: duplicate flow %q", f.ID)
 	}
 	usages := s.spareUsages()
 	for _, u := range f.Usages {
@@ -397,7 +342,6 @@ func (s *Solver) AddFlow(f Flow) error {
 		copy(usages[pos+1:], usages[pos:])
 		usages[pos] = indexedUsage{res: int32(ri), weight: u.Weight}
 	}
-	s.flowIdx[f.ID] = len(s.flows)
 	s.flows = append(s.flows, indexedFlow{id: f.ID, demand: f.Demand, usages: usages, bn: bnUnsolved})
 	s.pendingAdds++
 	return nil
@@ -409,31 +353,16 @@ func (s *Solver) AddFlow(f Flow) error {
 func (s *Solver) Reset() {
 	statResets.Add(1)
 	s.flows = s.flows[:0]
-	clear(s.flowIdx)
-	s.idxStale = false
 	s.solved = false
 	s.pendingAdds = 0
 	s.labelsValid = false
 	s.clearDirty()
 }
 
-// RemoveFlow unregisters one flow, preserving the relative order of the
-// rest. It reports whether the flow was present.
-func (s *Solver) RemoveFlow(id string) bool {
-	s.ensureIdx()
-	i, ok := s.flowIdx[id]
-	if !ok {
-		return false
-	}
-	s.RemoveFlowAt(i)
-	return true
-}
-
-// RemoveFlowAt unregisters the flow at dense index i (see FlowIndex),
-// preserving the relative order — and therefore the dense indices — of the
-// flows before it; flows after it shift down by one. Index-based removal is
-// the fluid executor's fast path: it skips the by-ID map lookup and defers
-// the index-map rebuild until somebody actually asks for an ID.
+// RemoveFlowAt unregisters the flow at dense index i (its AddFlow order
+// among the flows still registered), preserving the relative order — and
+// therefore the dense indices — of the flows before it; flows after it
+// shift down by one.
 func (s *Solver) RemoveFlowAt(i int) {
 	f := &s.flows[i]
 	// The flows sharing this flow's resources must re-level (transitively:
@@ -445,11 +374,6 @@ func (s *Solver) RemoveFlowAt(i int) {
 		s.pendingAdds--
 	}
 	removed := f.usages[:0]
-	// A stale index is rebuilt wholesale by ensureIdx, so the per-entry
-	// delete only pays off while the map is still authoritative.
-	if !s.idxStale {
-		delete(s.flowIdx, f.id)
-	}
 	copy(s.flows[i:], s.flows[i+1:])
 	// Keep the component labels parallel to the flow slice. Flows past the
 	// labeled region (added since the last labeling) carry garbage labels,
@@ -464,9 +388,6 @@ func (s *Solver) RemoveFlowAt(i int) {
 	// recycling it instead of corrupting a live flow.
 	s.flows[last].usages = removed
 	s.flows = s.flows[:last]
-	if i < last {
-		s.idxStale = true
-	}
 }
 
 // RemoveFlowsAt unregisters the flows at the given current dense indices,
@@ -493,7 +414,6 @@ func (s *Solver) RemoveFlowsAt(idx []int32) {
 				if r < labeled {
 					s.compFlow[w] = s.compFlow[r]
 				}
-				s.idxStale = true
 			}
 			w++
 			continue
@@ -504,9 +424,6 @@ func (s *Solver) RemoveFlowsAt(idx []int32) {
 		}
 		if f.bn == bnUnsolved {
 			s.pendingAdds--
-		}
-		if !s.idxStale {
-			delete(s.flowIdx, f.id)
 		}
 		park = append(park, f.usages[:0])
 	}
@@ -522,60 +439,40 @@ func (s *Solver) RemoveFlowsAt(idx []int32) {
 // NumFlows returns the number of registered flows.
 func (s *Solver) NumFlows() int { return len(s.flows) }
 
-// FlowIndex returns the dense index of a registered flow — the handle into
-// IndexedAllocation. Indices shift when earlier flows are removed.
-func (s *Solver) FlowIndex(id string) (int, bool) {
-	s.ensureIdx()
-	i, ok := s.flowIdx[id]
-	return i, ok
-}
-
 const eps = 1e-9
 
-// Solve computes the weighted max-min fair allocation and materializes the
-// string-keyed Allocation maps. Hot paths that re-solve the same fabric
-// (the fluid executor) use SolveIndexed instead and stay on dense indices.
-func (s *Solver) Solve() (*Allocation, error) {
-	ia, err := s.SolveIndexed()
-	if err != nil {
-		return nil, err
-	}
-	return ia.Allocation(), nil
-}
-
-// IndexedAllocation is the result of SolveIndexed: rates, bottlenecks and
-// utilization addressed by the solver's dense flow and resource indices,
-// with string IDs only at the accessor edge. It views the solver's state,
-// so it is valid until the next Solve/SolveIndexed call or any flow-set
+// Allocation is the result of Solve: rates, bottlenecks and utilization
+// addressed by the solver's dense flow and resource indices (AddFlow and
+// SetResource order), with string IDs only at the accessor edge. It views
+// the solver's state, so it is valid until the next Solve or any flow-set
 // change on the solver.
-type IndexedAllocation struct {
+type Allocation struct {
 	s *Solver
 	n int
 }
 
-// SolveIndexed computes the weighted max-min fair allocation without
-// materializing any string-keyed map.
-func (s *Solver) SolveIndexed() (IndexedAllocation, error) {
+// Solve computes the weighted max-min fair allocation.
+func (s *Solver) Solve() (Allocation, error) {
 	if err := s.timedSolve(); err != nil {
-		return IndexedAllocation{}, err
+		return Allocation{}, err
 	}
-	return IndexedAllocation{s: s, n: len(s.flows)}, nil
+	return Allocation{s: s, n: len(s.flows)}, nil
 }
 
 // NumFlows returns the number of allocated flows.
-func (a IndexedAllocation) NumFlows() int { return a.n }
+func (a Allocation) NumFlows() int { return a.n }
 
 // FlowID returns the string ID of flow index i.
-func (a IndexedAllocation) FlowID(i int) string { return a.s.flows[i].id }
+func (a Allocation) FlowID(i int) string { return a.s.flows[i].id }
 
 // Rate returns the allocated rate of flow index i.
-func (a IndexedAllocation) Rate(i int) units.Bandwidth {
+func (a Allocation) Rate(i int) units.Bandwidth {
 	return units.Bandwidth(a.s.flows[i].rate)
 }
 
 // Bottleneck returns the resource that froze flow i, or "" if the flow was
 // frozen by its own demand.
-func (a IndexedAllocation) Bottleneck(i int) ResourceID {
+func (a Allocation) Bottleneck(i int) ResourceID {
 	if ri := a.s.flows[i].bn; ri >= 0 {
 		return a.s.resList[ri].ID
 	}
@@ -583,31 +480,13 @@ func (a IndexedAllocation) Bottleneck(i int) ResourceID {
 }
 
 // NumResources returns the number of registered resources.
-func (a IndexedAllocation) NumResources() int { return len(a.s.resList) }
+func (a Allocation) NumResources() int { return len(a.s.resList) }
 
 // ResourceID returns the string ID of resource index ri.
-func (a IndexedAllocation) ResourceID(ri int) ResourceID { return a.s.resList[ri].ID }
+func (a Allocation) ResourceID(ri int) ResourceID { return a.s.resList[ri].ID }
 
 // Utilization returns the fraction of resource ri's capacity in use.
-func (a IndexedAllocation) Utilization(ri int) float64 { return a.s.util[ri] }
-
-// Allocation materializes the string-keyed Allocation maps.
-func (a IndexedAllocation) Allocation() *Allocation {
-	s := a.s
-	out := &Allocation{
-		Rates:       make(map[string]units.Bandwidth, a.n),
-		Bottlenecks: make(map[string]ResourceID, a.n),
-		Utilization: make(map[ResourceID]float64, len(s.resList)),
-	}
-	for i := 0; i < a.n; i++ {
-		out.Rates[s.flows[i].id] = units.Bandwidth(s.flows[i].rate)
-		out.Bottlenecks[s.flows[i].id] = a.Bottleneck(i)
-	}
-	for ri := range s.resList {
-		out.Utilization[s.resList[ri].ID] = s.util[ri]
-	}
-	return out
-}
+func (a Allocation) Utilization(ri int) float64 { return a.s.util[ri] }
 
 // grow resizes the per-resource scratch buffers.
 func (s *Solver) grow() {
@@ -1018,21 +897,39 @@ func (s *Solver) solveComponent(c int32, members []int32) error {
 	return nil
 }
 
-// SingleFlowRate is a convenience: the rate one flow would get alone, i.e.
-// the bottleneck capacity over its (weighted) usages, capped by demand.
-func SingleFlowRate(resources []Resource, f Flow) (units.Bandwidth, error) {
+// AggregateRate solves flows over resources on a fresh solver and returns
+// the sum of their rates. Flows register in the given order; the sum runs
+// in ascending flow-ID order ("t10" before "t2"), so one problem always
+// sums to the same bits. Flow IDs must be unique.
+func AggregateRate(resources []Resource, flows []Flow) (units.Bandwidth, error) {
+	ord := make([]int, len(flows))
+	for i := range ord {
+		ord[i] = i
+	}
+	sort.Slice(ord, func(x, y int) bool { return flows[ord[x]].ID < flows[ord[y]].ID })
+	for k := 1; k < len(ord); k++ {
+		if id := flows[ord[k]].ID; id == flows[ord[k-1]].ID {
+			return 0, fmt.Errorf("fabric: duplicate flow %q", id)
+		}
+	}
 	s := NewSolver()
 	for _, r := range resources {
 		if err := s.SetResource(r); err != nil {
 			return 0, err
 		}
 	}
-	if err := s.AddFlow(f); err != nil {
-		return 0, err
+	for _, f := range flows {
+		if err := s.AddFlow(f); err != nil {
+			return 0, err
+		}
 	}
 	a, err := s.Solve()
 	if err != nil {
 		return 0, err
 	}
-	return a.Rate(f.ID), nil
+	var sum units.Bandwidth
+	for _, i := range ord {
+		sum += a.Rate(i)
+	}
+	return sum, nil
 }

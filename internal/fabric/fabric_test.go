@@ -36,16 +36,19 @@ func TestSingleFlowGetsBottleneck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := a.Rate("f").Gbps(); math.Abs(got-25) > 1e-6 {
+	if got := a.Rate(0).Gbps(); math.Abs(got-25) > 1e-6 {
 		t.Errorf("rate = %v, want 25", got)
 	}
-	if a.Bottlenecks["f"] != "b" {
-		t.Errorf("bottleneck = %q, want b", a.Bottlenecks["f"])
+	if a.Bottleneck(0) != "b" {
+		t.Errorf("bottleneck = %q, want b", a.Bottleneck(0))
 	}
-	if u := a.Utilization["b"]; math.Abs(u-1) > 1e-6 {
+	if a.ResourceID(0) != "a" || a.ResourceID(1) != "b" {
+		t.Fatalf("resource order = %q, %q, want a, b", a.ResourceID(0), a.ResourceID(1))
+	}
+	if u := a.Utilization(1); math.Abs(u-1) > 1e-6 {
 		t.Errorf("utilization of b = %v, want 1", u)
 	}
-	if u := a.Utilization["a"]; math.Abs(u-25.0/40) > 1e-6 {
+	if u := a.Utilization(0); math.Abs(u-25.0/40) > 1e-6 {
 		t.Errorf("utilization of a = %v, want 0.625", u)
 	}
 }
@@ -62,7 +65,7 @@ func TestEqualFlowsShareEqually(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if got := a.Rate(fmt.Sprintf("f%d", i)).Gbps(); math.Abs(got-10) > 1e-6 {
+		if got := a.Rate(i).Gbps(); math.Abs(got-10) > 1e-6 {
 			t.Errorf("f%d rate = %v, want 10", i, got)
 		}
 	}
@@ -79,14 +82,14 @@ func TestDemandFreezeReleasesCapacity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := a.Rate("small").Gbps(); math.Abs(got-5) > 1e-6 {
+	if got := a.Rate(0).Gbps(); math.Abs(got-5) > 1e-6 {
 		t.Errorf("small rate = %v, want 5", got)
 	}
-	if got := a.Rate("big").Gbps(); math.Abs(got-25) > 1e-6 {
+	if got := a.Rate(1).Gbps(); math.Abs(got-25) > 1e-6 {
 		t.Errorf("big rate = %v, want 25 (leftover)", got)
 	}
-	if a.Bottlenecks["small"] != "" {
-		t.Errorf("small should be demand-frozen, got %q", a.Bottlenecks["small"])
+	if a.Bottleneck(0) != "" {
+		t.Errorf("small should be demand-frozen, got %q", a.Bottleneck(0))
 	}
 }
 
@@ -96,23 +99,22 @@ func TestDemandFreezeReleasesCapacity(t *testing.T) {
 // below the paper's arithmetic-mean prediction of 20.017 Gb/s.
 func TestWeightedEngineHarmonicAggregate(t *testing.T) {
 	const base = 22.0
-	s := NewSolver()
-	mustSetResource(t, s, Resource{ID: "eng", Capacity: base * units.Gbps})
-	rates := []float64{18.036, 18.036, 21.998, 21.998}
-	for i, r := range rates {
-		mustAddFlow(t, s, Flow{ID: fmt.Sprintf("f%d", i),
+	resources := []Resource{{ID: "eng", Capacity: base * units.Gbps}}
+	var flows []Flow
+	for i, r := range []float64{18.036, 18.036, 21.998, 21.998} {
+		flows = append(flows, Flow{ID: fmt.Sprintf("f%d", i),
 			Usages: []Usage{{Resource: "eng", Weight: base / r}}})
 	}
-	a, err := s.Solve()
+	agg, err := AggregateRate(resources, flows)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := 4 / (2/18.036 + 2/21.998)
-	if got := a.Aggregate().Gbps(); math.Abs(got-want) > 1e-6 {
+	if got := agg.Gbps(); math.Abs(got-want) > 1e-6 {
 		t.Errorf("aggregate = %v, want %v", got, want)
 	}
 	arithmetic := 0.5*18.036 + 0.5*21.998
-	if got := a.Aggregate().Gbps(); got >= arithmetic {
+	if got := agg.Gbps(); got >= arithmetic {
 		t.Errorf("aggregate %v should undercut the arithmetic mean %v", got, arithmetic)
 	}
 }
@@ -128,7 +130,7 @@ func TestDuplicateUsagesMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := a.Rate("copy").Gbps(); math.Abs(got-50) > 1e-6 {
+	if got := a.Rate(0).Gbps(); math.Abs(got-50) > 1e-6 {
 		t.Errorf("rate = %v, want 50 (controller charged twice)", got)
 	}
 }
@@ -149,9 +151,6 @@ func TestSolverErrors(t *testing.T) {
 		t.Error("zero weight should be rejected")
 	}
 	mustAddFlow(t, s, Flow{ID: "f", Usages: []Usage{{Resource: "a", Weight: 1}}})
-	if err := s.AddFlow(Flow{ID: "f", Usages: []Usage{{Resource: "a", Weight: 1}}}); err == nil {
-		t.Error("duplicate flow ID should be rejected")
-	}
 	if s.NumFlows() != 1 {
 		t.Errorf("NumFlows = %d, want 1", s.NumFlows())
 	}
@@ -177,7 +176,7 @@ func TestDemandOnlyFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := a.Rate("d").Gbps(); math.Abs(got-3) > 1e-9 {
+	if got := a.Rate(0).Gbps(); math.Abs(got-3) > 1e-9 {
 		t.Errorf("rate = %v, want 3", got)
 	}
 }
@@ -187,25 +186,62 @@ func TestEmptySolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Aggregate() != 0 {
-		t.Error("empty allocation should aggregate to 0")
+	if a.NumFlows() != 0 {
+		t.Errorf("empty allocation has %d flows", a.NumFlows())
+	}
+	if agg, err := AggregateRate(nil, nil); err != nil || agg != 0 {
+		t.Errorf("empty AggregateRate = %v, %v; want 0, nil", agg, err)
 	}
 }
 
-func TestSingleFlowRateHelper(t *testing.T) {
+func TestAggregateRate(t *testing.T) {
 	res := []Resource{{ID: "a", Capacity: 10 * units.Gbps}}
-	bw, err := SingleFlowRate(res, Flow{ID: "x", Usages: []Usage{{Resource: "a", Weight: 2}}})
+	bw, err := AggregateRate(res, []Flow{{ID: "x", Usages: []Usage{{Resource: "a", Weight: 2}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := bw.Gbps(); math.Abs(got-5) > 1e-6 {
 		t.Errorf("rate = %v, want 5", got)
 	}
-	if _, err := SingleFlowRate([]Resource{{ID: "a", Capacity: -1}}, Flow{ID: "x"}); err == nil {
+	if _, err := AggregateRate([]Resource{{ID: "a", Capacity: -1}}, []Flow{{ID: "x"}}); err == nil {
 		t.Error("bad resource should error")
 	}
-	if _, err := SingleFlowRate(res, Flow{ID: "x", Usages: []Usage{{Resource: "b", Weight: 1}}}); err == nil {
+	if _, err := AggregateRate(res, []Flow{{ID: "x", Usages: []Usage{{Resource: "b", Weight: 1}}}}); err == nil {
 		t.Error("unknown resource should error")
+	}
+	dup := []Flow{
+		{ID: "x", Usages: []Usage{{Resource: "a", Weight: 1}}},
+		{ID: "x", Usages: []Usage{{Resource: "a", Weight: 1}}},
+	}
+	if _, err := AggregateRate(res, dup); err == nil {
+		t.Error("duplicate flow IDs should error")
+	}
+}
+
+// TestAggregateRateSumsInIDOrder pins the summation order: three flows, each
+// alone on its own resource, registered as t2, t10, t11. Added in that
+// order the two unit rates vanish into 1e16 (1e16+1 rounds back to 1e16);
+// in flow-ID order (t10, t11, t2) they sum to 2 first and survive.
+func TestAggregateRateSumsInIDOrder(t *testing.T) {
+	resources := []Resource{{ID: "big", Capacity: 1e16}, {ID: "u1", Capacity: 1}, {ID: "u2", Capacity: 1}}
+	flows := []Flow{
+		{ID: "t2", Usages: []Usage{{Resource: "big", Weight: 1}}},
+		{ID: "t10", Usages: []Usage{{Resource: "u1", Weight: 1}}},
+		{ID: "t11", Usages: []Usage{{Resource: "u2", Weight: 1}}},
+	}
+	var regOrder units.Bandwidth // each flow's rate is its resource's capacity
+	for _, r := range resources {
+		regOrder += r.Capacity
+	}
+	if regOrder != 1e16 {
+		t.Fatalf("registration-order sum = %v, want 1e16 (the rounding this test relies on)", float64(regOrder))
+	}
+	got, err := AggregateRate(resources, flows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := units.Bandwidth(1e16 + 2); got != want {
+		t.Errorf("AggregateRate = %v, want %v (flow-ID order)", float64(got), float64(want))
 	}
 }
 
@@ -256,8 +292,8 @@ func TestSolveFeasibilityProperty(t *testing.T) {
 			return false
 		}
 		load := make(map[ResourceID]float64)
-		for _, fl := range flows {
-			r := float64(a.Rate(fl.ID))
+		for i, fl := range flows {
+			r := float64(a.Rate(i))
 			if r < -eps {
 				return false
 			}
@@ -298,20 +334,20 @@ func TestSolveMaxMinProperty(t *testing.T) {
 			caps[r.ID] = float64(r.Capacity)
 		}
 		load := make(map[ResourceID]float64)
-		usedBy := make(map[ResourceID][]string)
-		for _, fl := range flows {
-			r := float64(a.Rate(fl.ID))
+		usedBy := make(map[ResourceID][]int)
+		for i, fl := range flows {
+			r := float64(a.Rate(i))
 			seen := make(map[ResourceID]bool)
 			for _, u := range fl.Usages {
 				load[u.Resource] += u.Weight * r
 				if !seen[u.Resource] {
-					usedBy[u.Resource] = append(usedBy[u.Resource], fl.ID)
+					usedBy[u.Resource] = append(usedBy[u.Resource], i)
 					seen[u.Resource] = true
 				}
 			}
 		}
-		for _, fl := range flows {
-			r := float64(a.Rate(fl.ID))
+		for i, fl := range flows {
+			r := float64(a.Rate(i))
 			if !fl.unbounded() && r >= float64(fl.Demand)*(1-1e-6) {
 				continue // demand-satisfied
 			}
@@ -370,8 +406,8 @@ func TestSolveScaleInvariance(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for _, fl := range flows {
-			r1, r2 := float64(a1.Rate(fl.ID)), float64(a2.Rate(fl.ID))
+		for i := range flows {
+			r1, r2 := float64(a1.Rate(i)), float64(a2.Rate(i))
 			if math.Abs(r2-k*r1) > 1e-4*(1+k*r1) {
 				return false
 			}
@@ -385,37 +421,31 @@ func TestSolveScaleInvariance(t *testing.T) {
 
 func TestMachineResourcesAndCopyUsages(t *testing.T) {
 	m := topology.DL585G7()
-	s, err := NewMachineSolver(m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	resources := MachineResources(m)
 
 	// Local copy on node 7: controller charged twice -> memBW/2 = 53.
 	usages, err := CopyFlowUsages(m, 7, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustAddFlow(t, s, Flow{ID: "local", Usages: usages})
-	a, err := s.Solve()
+	local, err := AggregateRate(resources, []Flow{{ID: "local", Usages: usages}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := a.Rate("local").Gbps(); math.Abs(got-53) > 0.01 {
+	if got := local.Gbps(); math.Abs(got-53) > 0.01 {
 		t.Errorf("local copy = %v, want 53", got)
 	}
 
 	// Remote copy 2->7 is starved at 26.5.
-	s2, _ := NewMachineSolver(m)
 	usages, err = CopyFlowUsages(m, 2, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustAddFlow(t, s2, Flow{ID: "r", Usages: usages})
-	a2, err := s2.Solve()
+	remote, err := AggregateRate(resources, []Flow{{ID: "r", Usages: usages}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := a2.Rate("r").Gbps(); math.Abs(got-26.5) > 0.01 {
+	if got := remote.Gbps(); math.Abs(got-26.5) > 0.01 {
 		t.Errorf("copy 2->7 = %v, want 26.5", got)
 	}
 

@@ -16,11 +16,11 @@ import (
 // order).
 func assertSameAllocation(t *testing.T, label string, inc, fresh *Solver) {
 	t.Helper()
-	ia, err := inc.SolveIndexed()
+	ia, err := inc.Solve()
 	if err != nil {
 		t.Fatalf("%s: incremental solve: %v", label, err)
 	}
-	fa, err := fresh.SolveIndexed()
+	fa, err := fresh.Solve()
 	if err != nil {
 		t.Fatalf("%s: fresh solve: %v", label, err)
 	}
@@ -265,7 +265,7 @@ func TestIncrementalDisjointComponents(t *testing.T) {
 		}
 	}
 	before := ReadStats()
-	if _, err := s.SolveIndexed(); err != nil {
+	if _, err := s.Solve(); err != nil {
 		t.Fatal(err)
 	}
 	mid := ReadStats()
@@ -279,10 +279,11 @@ func TestIncrementalDisjointComponents(t *testing.T) {
 
 	// Remove one node-0 flow: node 0's survivor re-levels, everyone else's
 	// stored rate must be untouched (same backing floats, not recomputed).
-	if !s.RemoveFlow("n0-1") {
-		t.Fatal("RemoveFlow(n0-1) = false")
+	if id := s.flows[1].id; id != "n0-1" {
+		t.Fatalf("flow 1 is %q, want n0-1", id)
 	}
-	ia, err := s.SolveIndexed()
+	s.RemoveFlowAt(1)
+	ia, err := s.Solve()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,45 +307,13 @@ func TestIncrementalDisjointComponents(t *testing.T) {
 
 	// Invalidate forces the next solve to re-level everything.
 	s.Invalidate()
-	if _, err := s.SolveIndexed(); err != nil {
+	if _, err := s.Solve(); err != nil {
 		t.Fatal(err)
 	}
 	end := ReadStats()
 	if got := end.FullSolves - after.FullSolves; got != 1 {
 		t.Errorf("post-Invalidate solve: full solves += %d, want 1", got)
 	}
-}
-
-// TestByIDLookupAfterBatchRemoval: RemoveFlowsAt compacts the flow table
-// and leaves the by-ID index stale, to be rebuilt on the next lookup. That
-// rebuild must see the compacted positions: RemoveFlow by ID removes the
-// right flow, and a duplicate AddFlow of a live ID still errors.
-func TestByIDLookupAfterBatchRemoval(t *testing.T) {
-	m := topology.DL585G7()
-	h := newIncrementalHarness(t, MachineResources(m))
-	for _, n := range m.NodeIDs() {
-		usages, err := CopyFlowUsages(m, n, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h.add(t, Flow{Usages: usages})
-	}
-	assertSameAllocation(t, "built", h.inc, h.fresh(t))
-
-	// Dropping f0 and f2 shifts every later flow down: f3 moves to index 1.
-	h.removeBatch([]int32{0, 2})
-	assertSameAllocation(t, "compacted", h.inc, h.fresh(t))
-	if !h.inc.RemoveFlow("f3") {
-		t.Fatal("RemoveFlow(f3) = false after compaction")
-	}
-	if h.flows[1].ID != "f3" {
-		t.Fatalf("shadow index 1 holds %q, want f3", h.flows[1].ID)
-	}
-	h.flows = append(h.flows[:1], h.flows[2:]...)
-	if err := h.inc.AddFlow(Flow{ID: "f5", Usages: h.flows[0].Usages}); err == nil {
-		t.Fatal("duplicate AddFlow(f5) succeeded after compaction")
-	}
-	assertSameAllocation(t, "compacted+removed", h.inc, h.fresh(t))
 }
 
 // TestIncrementalSteadyStateZeroAlloc: once grown, the add/remove/solve
@@ -374,13 +343,13 @@ func TestIncrementalSteadyStateZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := s.SolveIndexed(); err != nil {
+	if _, err := s.Solve(); err != nil {
 		t.Fatal(err)
 	}
 
 	// Unchanged flow set: the converged allocation is returned as is.
 	if allocs := testing.AllocsPerRun(100, func() {
-		if _, err := s.SolveIndexed(); err != nil {
+		if _, err := s.Solve(); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
@@ -399,7 +368,7 @@ func TestIncrementalSteadyStateZeroAlloc(t *testing.T) {
 		if err := s.AddFlow(flowByID[victim]); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.SolveIndexed(); err != nil {
+		if _, err := s.Solve(); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
@@ -414,7 +383,7 @@ func TestIncrementalSteadyStateZeroAlloc(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if _, err := s.SolveIndexed(); err != nil {
+		if _, err := s.Solve(); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {

@@ -1,9 +1,7 @@
 package fabric
 
 import (
-	"encoding/json"
 	"fmt"
-	"reflect"
 	"strconv"
 	"testing"
 
@@ -11,7 +9,7 @@ import (
 	"numaio/internal/units"
 )
 
-// internMachines are the reference topologies the interned solver must
+// internMachines are the reference topologies the pooled solver must
 // reproduce exactly (same set reuse_test.go's contract covers for RunFluid).
 var internMachines = []string{"dl585g7", "magny-a", "intel-4s4n"}
 
@@ -50,67 +48,6 @@ func machineWorkload(t *testing.T, name string) ([]Resource, []Flow) {
 	return resources, flows
 }
 
-// allocJSON canonicalizes an Allocation for byte-level comparison.
-func allocJSON(t *testing.T, a *Allocation) []byte {
-	t.Helper()
-	b, err := json.Marshal(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
-
-// TestSolveIndexedMatchesSolve: the indexed fast path must produce an
-// Allocation byte-identical to the string-keyed Solve on every reference
-// machine — rates, bottlenecks and utilization all included.
-func TestSolveIndexedMatchesSolve(t *testing.T) {
-	for _, name := range internMachines {
-		t.Run(name, func(t *testing.T) {
-			resources, flows := machineWorkload(t, name)
-			build := func() *Solver {
-				s := NewSolver()
-				for _, r := range resources {
-					mustSetResource(t, s, r)
-				}
-				for _, f := range flows {
-					mustAddFlow(t, s, f)
-				}
-				return s
-			}
-			want, err := build().Solve()
-			if err != nil {
-				t.Fatal(err)
-			}
-			ia, err := build().SolveIndexed()
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := ia.Allocation()
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("indexed allocation differs from Solve:\n got %v\nwant %v", got, want)
-			}
-			if g, w := allocJSON(t, got), allocJSON(t, want); string(g) != string(w) {
-				t.Fatalf("serialized allocations differ:\n got %s\nwant %s", g, w)
-			}
-			// The indexed accessors agree with the materialized maps.
-			for i := 0; i < ia.NumFlows(); i++ {
-				id := ia.FlowID(i)
-				if ia.Rate(i) != want.Rates[id] {
-					t.Errorf("Rate(%d)=%v, want %v", i, ia.Rate(i), want.Rates[id])
-				}
-				if ia.Bottleneck(i) != want.Bottlenecks[id] {
-					t.Errorf("Bottleneck(%d)=%q, want %q", i, ia.Bottleneck(i), want.Bottlenecks[id])
-				}
-			}
-			for ri := 0; ri < ia.NumResources(); ri++ {
-				if ia.Utilization(ri) != want.Utilization[ia.ResourceID(ri)] {
-					t.Errorf("Utilization(%d) mismatch", ri)
-				}
-			}
-		})
-	}
-}
-
 // TestPooledSolverMatchesFresh: a recycled pooled solver must behave exactly
 // like a freshly constructed one, including across machines of different
 // sizes, so the request path can pool solvers without changing any output.
@@ -145,17 +82,7 @@ func TestPooledSolverMatchesFresh(t *testing.T) {
 					mustAddFlow(t, s, f)
 				}
 			}
-			want, err := fresh.Solve()
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := pooled.Solve()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("pooled allocation differs from fresh:\n got %v\nwant %v", got, want)
-			}
+			assertSameAllocation(t, name+" pooled", pooled, fresh)
 		})
 	}
 }
@@ -201,10 +128,10 @@ func TestSolverReusedAddFlowKeepsUsageOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := a.Rate("g").Gbps(); got != 5 {
+	if got := a.Rate(0).Gbps(); got != 5 {
 		t.Errorf("rate = %v, want 5 (bottleneck c at weight 2)", got)
 	}
-	if got := a.Bottlenecks["g"]; got != "c" {
+	if got := a.Bottleneck(0); got != "c" {
 		t.Errorf("bottleneck = %q, want c", got)
 	}
 }

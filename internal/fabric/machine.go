@@ -1,10 +1,6 @@
 package fabric
 
-import (
-	"fmt"
-
-	"numaio/internal/topology"
-)
+import "numaio/internal/topology"
 
 // MachineResources returns the standing resources of a machine: one per
 // directed link ("link:<i>") and one per node memory controller
@@ -19,17 +15,6 @@ func MachineResources(m *topology.Machine) []Resource {
 		out = append(out, Resource{ID: MemResource(n.ID), Capacity: n.MemBandwidth})
 	}
 	return out
-}
-
-// NewMachineSolver returns a solver pre-loaded with MachineResources.
-func NewMachineSolver(m *topology.Machine) (*Solver, error) {
-	s := NewSolver()
-	for _, r := range MachineResources(m) {
-		if err := s.SetResource(r); err != nil {
-			return nil, fmt.Errorf("fabric: machine %q: %w", m.Name, err)
-		}
-	}
-	return s, nil
 }
 
 // PathUsages converts a route (link indices) into link usages with the

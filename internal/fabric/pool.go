@@ -21,7 +21,7 @@ func AcquireSolver() *Solver {
 }
 
 // ReleaseSolver clears the solver and returns it to the pool. The solver —
-// and any IndexedAllocation viewing it — must not be used afterwards.
+// and any Allocation viewing it — must not be used afterwards.
 func ReleaseSolver(s *Solver) {
 	if s == nil {
 		return

@@ -3,7 +3,6 @@ package fabric
 import (
 	"fmt"
 	"math"
-	"reflect"
 	"testing"
 
 	"numaio/internal/units"
@@ -25,35 +24,29 @@ func TestSolverResetKeepsResources(t *testing.T) {
 	if _, ok := s.Resource("l"); !ok {
 		t.Fatal("resource lost across Reset")
 	}
-	// The old flow ID is free again.
 	mustAddFlow(t, s, Flow{ID: "f0", Usages: []Usage{{Resource: "l", Weight: 1}}})
 	mustAddFlow(t, s, Flow{ID: "f1", Usages: []Usage{{Resource: "l", Weight: 1}}})
 	a, err := s.Solve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range []string{"f0", "f1"} {
-		if got := a.Rate(id).Gbps(); math.Abs(got-15) > 1e-6 {
-			t.Errorf("rate[%s] = %v, want 15", id, got)
+	for i := 0; i < a.NumFlows(); i++ {
+		if got := a.Rate(i).Gbps(); math.Abs(got-15) > 1e-6 {
+			t.Errorf("rate[%s] = %v, want 15", a.FlowID(i), got)
 		}
 	}
 }
 
-// TestSolverRemoveFlow: removing a flow frees its share and its ID, and
-// removing an unknown flow reports false.
-func TestSolverRemoveFlow(t *testing.T) {
+// TestSolverRemoveFlowAt: removing a flow by index frees its share and
+// shifts the later flows down one index.
+func TestSolverRemoveFlowAt(t *testing.T) {
 	s := NewSolver()
 	mustSetResource(t, s, Resource{ID: "l", Capacity: 30 * units.Gbps})
 	for i := 0; i < 3; i++ {
 		mustAddFlow(t, s, Flow{ID: fmt.Sprintf("f%d", i),
 			Usages: []Usage{{Resource: "l", Weight: 1}}})
 	}
-	if !s.RemoveFlow("f1") {
-		t.Fatal("RemoveFlow(f1) = false, want true")
-	}
-	if s.RemoveFlow("f1") {
-		t.Fatal("second RemoveFlow(f1) = true, want false")
-	}
+	s.RemoveFlowAt(1)
 	if got := s.NumFlows(); got != 2 {
 		t.Fatalf("flows = %d, want 2", got)
 	}
@@ -61,23 +54,30 @@ func TestSolverRemoveFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := a.Rates["f1"]; ok {
-		t.Error("removed flow still allocated")
-	}
-	for _, id := range []string{"f0", "f2"} {
-		if got := a.Rate(id).Gbps(); math.Abs(got-15) > 1e-6 {
+	for i, id := range []string{"f0", "f2"} {
+		if a.FlowID(i) != id {
+			t.Errorf("flow %d = %q, want %q", i, a.FlowID(i), id)
+		}
+		if got := a.Rate(i).Gbps(); math.Abs(got-15) > 1e-6 {
 			t.Errorf("rate[%s] = %v, want 15", id, got)
 		}
 	}
-	// The removed ID can be re-added.
+	// A re-added flow takes the next index.
 	mustAddFlow(t, s, Flow{ID: "f1", Usages: []Usage{{Resource: "l", Weight: 1}}})
-	if got := s.NumFlows(); got != 3 {
-		t.Fatalf("flows after re-add = %d, want 3", got)
+	a, err = s.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.NumFlows() != 3 || a.FlowID(2) != "f1" {
+		t.Fatalf("after re-add: %d flows, flow 2 = %q; want 3, f1", a.NumFlows(), a.FlowID(2))
+	}
+	if got := a.Rate(2).Gbps(); math.Abs(got-10) > 1e-6 {
+		t.Errorf("rate[f1] = %v, want 10", got)
 	}
 }
 
 // TestSolverReuseMatchesFresh: a reused solver (shrinking flow set via
-// RemoveFlow) must produce exactly the allocation a freshly built solver
+// RemoveFlowAt) must produce exactly the allocation a freshly built solver
 // produces for the same flow subset — this is the contract RunFluid's
 // fast path depends on.
 func TestSolverReuseMatchesFresh(t *testing.T) {
@@ -109,34 +109,11 @@ func TestSolverReuseMatchesFresh(t *testing.T) {
 	// match a solver built from scratch with the surviving flows.
 	live := append([]Flow(nil), flows...)
 	for len(live) > 0 {
-		gotA, err := reused.Solve()
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantA, err := build(live).Solve()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(gotA.Rates, wantA.Rates) {
-			t.Fatalf("reused rates %v != fresh rates %v (live=%d)", gotA.Rates, wantA.Rates, len(live))
-		}
-		if !reflect.DeepEqual(gotA.Bottlenecks, wantA.Bottlenecks) {
-			t.Fatalf("reused bottlenecks %v != fresh %v (live=%d)", gotA.Bottlenecks, wantA.Bottlenecks, len(live))
-		}
-		if !reflect.DeepEqual(gotA.Utilization, wantA.Utilization) {
-			t.Fatalf("reused utilization %v != fresh %v (live=%d)", gotA.Utilization, wantA.Utilization, len(live))
-		}
+		assertSameAllocation(t, fmt.Sprintf("live=%d", len(live)), reused, build(live))
 		// Drop the middle survivor to exercise non-edge splices.
-		victim := live[len(live)/2].ID
-		if !reused.RemoveFlow(victim) {
-			t.Fatalf("RemoveFlow(%s) = false", victim)
-		}
-		for i := range live {
-			if live[i].ID == victim {
-				live = append(live[:i], live[i+1:]...)
-				break
-			}
-		}
+		victim := len(live) / 2
+		reused.RemoveFlowAt(victim)
+		live = append(live[:victim], live[victim+1:]...)
 	}
 }
 
@@ -151,7 +128,7 @@ func TestSolverSetResourceReplaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := a.Rate("f").Gbps(); math.Abs(got-40) > 1e-6 {
+	if got := a.Rate(0).Gbps(); math.Abs(got-40) > 1e-6 {
 		t.Errorf("rate = %v, want 40 after capacity update", got)
 	}
 }

@@ -57,8 +57,8 @@ var (
 
 // Stats is a snapshot of the package-wide solver counters.
 type Stats struct {
-	// Solves counts successful SolveIndexed/Solve calls; SolveNanos is the
-	// wall time they took in total.
+	// Solves counts successful Solve calls; SolveNanos is the wall time
+	// they took in total.
 	Solves     int64
 	SolveNanos int64
 	// Resets counts Solver.Reset calls (flow-set reuse between fluid runs).

@@ -222,7 +222,7 @@ func (r *Runner) Run(jobs []Job) (*Report, error) {
 	}
 	for i := range insts {
 		in := &insts[i]
-		res := fluid.Transfers[in.id]
+		res := fluid.Transfers[i]
 		jitter := r.jitter(in)
 		ir := InstanceResult{
 			Job:        in.job.Name,

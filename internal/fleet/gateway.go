@@ -325,14 +325,13 @@ func (g *Gateway) handleModelGet(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) shardProxy(w http.ResponseWriter, r *http.Request, endpoint, key string) {
 	stg := telemetry.StagesFromContext(r.Context())
 	routeStart := time.Now()
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		telemetry.WriteError(w, http.StatusBadRequest, "reading body: %v", err)
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
 	if key == "" {
-		key, err = shardKey(body)
-		if err != nil {
+		var err error
+		if key, err = shardKey(body); err != nil {
 			telemetry.WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
@@ -619,9 +618,29 @@ type replicaPlaceResponse struct {
 	} `json:"results"`
 }
 
+// readBody reads r's body whole, at most telemetry.MaxBodyBytes. When it
+// returns false it has already answered: 413 past the bound, 400 on a read
+// error.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	body, err := io.ReadAll(io.LimitReader(r.Body, telemetry.MaxBodyBytes+1))
+	if err != nil {
+		telemetry.WriteError(w, http.StatusBadRequest, "reading body: %v", err)
+		return nil, false
+	}
+	if len(body) > telemetry.MaxBodyBytes {
+		telemetry.WriteError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", telemetry.MaxBodyBytes)
+		return nil, false
+	}
+	return body, true
+}
+
 func (g *Gateway) handleFleetPlace(w http.ResponseWriter, r *http.Request) {
+	raw, ok := readBody(w, r)
+	if !ok {
+		return
+	}
 	var req fleetPlaceRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		telemetry.WriteError(w, http.StatusBadRequest, "invalid JSON body: %v", err)

@@ -10,6 +10,7 @@ import (
 
 	"numaio/internal/cli"
 	"numaio/internal/service"
+	"numaio/internal/telemetry"
 	"numaio/internal/topology"
 )
 
@@ -372,6 +373,52 @@ func TestShardKeyMatchesReplicaFingerprint(t *testing.T) {
 	}
 	if got := tf.gw.routed.Value(); got != int64(len(machines)) {
 		t.Errorf("routed = %d, want %d (every request to its key's owner)", got, len(machines))
+	}
+}
+
+// TestGatewayBodyTooLarge: a routed or fan-out body past
+// telemetry.MaxBodyBytes is answered 413 before it is routed, so no
+// replica sees it and numaiogw_routed_total does not move; a body of
+// exactly the bound is routed, and the replica's own bound accepts it.
+func TestGatewayBodyTooLarge(t *testing.T) {
+	tf := newTestFleet(t, 3, nil)
+	const place = `{"machine": "intel-4s4n", "target": 0}`
+	const batch = `{"machine": "intel-4s4n", "items": [{"target": 0, "mode": "write", "mix": {"0": 1}}]}`
+	for path, body := range map[string]string{"/v1/predict": predictBody, "/v1/predict/batch": batch, "/v1/fleet/place": place} {
+		huge := body + strings.Repeat(" ", telemetry.MaxBodyBytes+1-len(body))
+		rec := tf.do(t, http.MethodPost, path, huge, nil)
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: status %d, want 413 (%.200s)", path, rec.Code, rec.Body)
+		}
+		if !strings.Contains(rec.Body.String(), "exceeds") {
+			t.Errorf("%s: error body %.200s", path, rec.Body)
+		}
+	}
+	text := tf.do(t, http.MethodGet, "/metrics", "", nil).Body.String()
+	for _, want := range []string{
+		"numaiogw_routed_total 0",
+		"numaiogw_proxied_total 0",
+		"numaiogw_fleet_place_total 0",
+		`numaiogw_requests_total{endpoint="/v1/predict",status="413"} 1`,
+		`numaiogw_requests_total{endpoint="/v1/predict/batch",status="413"} 1`,
+		`numaiogw_requests_total{endpoint="/v1/fleet/place",status="413"} 1`,
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("metrics missing %q:\n%s", want, text)
+		}
+	}
+	for name, svc := range tf.services {
+		if n := svc.RequestCount("/v1/predict") + svc.RequestCount("/v1/predict/batch") + svc.RequestCount("/v1/place"); n != 0 {
+			t.Errorf("replica %s saw %d requests for oversized bodies", name, n)
+		}
+	}
+
+	pad := strings.Repeat(" ", telemetry.MaxBodyBytes-len(predictBody))
+	if rec := tf.do(t, http.MethodPost, "/v1/predict", predictBody+pad, nil); rec.Code != http.StatusOK {
+		t.Fatalf("1 MiB predict = %d: %.200s", rec.Code, rec.Body)
+	}
+	if got := tf.gw.routed.Value(); got != 1 {
+		t.Errorf("routed = %d after a body of exactly the bound, want 1", got)
 	}
 }
 

@@ -41,28 +41,25 @@ func (s *Scheduler) Estimate(engine string, placement []topology.NodeID) (units.
 	if len(devs) == 0 {
 		return 0, fmt.Errorf("sched: no %v device", spec.Kind)
 	}
-	solver := fabric.NewSolver()
+	var resources []fabric.Resource
 	for _, d := range devs {
-		if err := solver.SetResource(fabric.Resource{
+		resources = append(resources, fabric.Resource{
 			ID: fabric.DeviceResource(d.ID, spec.Name), Capacity: spec.Ceiling,
-		}); err != nil {
-			return 0, err
-		}
+		})
 	}
 	for _, n := range m.Nodes {
 		if spec.PerStreamHost <= 0 && n.ID != s.devNode(spec) {
 			continue
 		}
-		if err := solver.SetResource(fabric.Resource{
+		resources = append(resources, fabric.Resource{
 			ID: fabric.CoreResource(n.ID),
 			Capacity: units.Bandwidth(float64(n.Cores) *
 				float64(device.TCPHostCostPerStream) * n.EffectiveCoreMultiplier()),
-		}); err != nil {
-			return 0, err
-		}
+		})
 	}
 
 	devNode := s.devNode(spec)
+	flows := make([]fabric.Flow, 0, len(placement))
 	for i, n := range placement {
 		cls, err := model.ClassOf(n)
 		if err != nil {
@@ -94,15 +91,9 @@ func (s *Scheduler) Estimate(engine string, placement []topology.NodeID) (units.
 				Resource: fabric.CoreResource(devNode), Weight: spec.IRQWeight,
 			})
 		}
-		if err := solver.AddFlow(flow); err != nil {
-			return 0, err
-		}
+		flows = append(flows, flow)
 	}
-	alloc, err := solver.Solve()
-	if err != nil {
-		return 0, err
-	}
-	return alloc.Aggregate(), nil
+	return fabric.AggregateRate(resources, flows)
 }
 
 // devNode returns the node of the first device of the engine's kind (the
@@ -123,16 +114,12 @@ func (s *Scheduler) estimateMemcpy(placement []topology.NodeID) (units.Bandwidth
 	target := s.Target()
 	targetNode := m.MustNode(target)
 
-	solver := fabric.NewSolver()
-	if err := solver.SetResource(fabric.Resource{
-		ID: fabric.MemResource(target), Capacity: targetNode.MemBandwidth,
-	}); err != nil {
-		return 0, err
-	}
+	resources := []fabric.Resource{{ID: fabric.MemResource(target), Capacity: targetNode.MemBandwidth}}
 	// One abstract "path" resource per distinct source class, holding that
 	// class's aggregate capacity (its average bandwidth): tasks of the same
 	// class share their class's paths into the target.
 	classCap := make(map[int]units.Bandwidth)
+	flows := make([]fabric.Flow, 0, len(placement))
 	for i, n := range placement {
 		cls, err := s.writeModel.ClassOf(n)
 		if err != nil {
@@ -140,32 +127,24 @@ func (s *Scheduler) estimateMemcpy(placement []topology.NodeID) (units.Bandwidth
 		}
 		if _, ok := classCap[cls.Rank]; !ok {
 			classCap[cls.Rank] = cls.Avg
-			if err := solver.SetResource(fabric.Resource{
+			resources = append(resources, fabric.Resource{
 				ID:       fabric.ResourceID(fmt.Sprintf("class:%d", cls.Rank)),
 				Capacity: cls.Avg,
-			}); err != nil {
-				return 0, err
-			}
+			})
 		}
 		memWeight := 1.0
 		if n == target {
 			memWeight = 2.0 // local copy reads and writes the same controller
 		}
-		if err := solver.AddFlow(fabric.Flow{
+		flows = append(flows, fabric.Flow{
 			ID: fmt.Sprintf("t%d", i),
 			Usages: []fabric.Usage{
 				{Resource: fabric.ResourceID(fmt.Sprintf("class:%d", cls.Rank)), Weight: 1},
 				{Resource: fabric.MemResource(target), Weight: memWeight},
 			},
-		}); err != nil {
-			return 0, err
-		}
+		})
 	}
-	alloc, err := solver.Solve()
-	if err != nil {
-		return 0, err
-	}
-	return alloc.Aggregate(), nil
+	return fabric.AggregateRate(resources, flows)
 }
 
 // Advice is the outcome of BestPlacement.

@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"math"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -455,6 +457,66 @@ func TestEstimateRepeatable(t *testing.T) {
 						t.Fatalf("target %d %v tasks %d: estimate %v then %v", target, p, tasks, first, est)
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestEstimateBitsManyTasks holds Estimate's float64 bits on dl585g7,
+// target 7, for 11-16 tasks. From ten tasks on, flow-ID order ("t10" before
+// "t2") differs from registration order, so these values pin the sum to
+// flow-ID order; TestEstimateRepeatable stops at 8 tasks, where the two
+// orders coincide. The bits were recorded on amd64 while the sum still came
+// from a string-keyed allocation map sorted by flow ID. Other architectures
+// may fuse x*y+z into one FMA instruction, which changes the low bits, so the
+// test runs on amd64 only; TestAggregateRateSumsInIDOrder guards the
+// summation order everywhere with exact values.
+func TestEstimateBitsManyTasks(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("bits recorded on amd64; %s may fuse multiply-adds", runtime.GOARCH)
+	}
+	sys, err := numa.NewSystem(topology.DL585G7())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := core.NewCharacterizer(sys, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mm, err := c.CharacterizeAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := FromMachineModel(sys, mm, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		engine string
+		policy Policy
+		bits   [6]uint64 // 11..16 tasks
+	}{
+		{device.EngineMemcpy, LocalOnly, [6]uint64{0x42274aed4818593a, 0x42274aed4818593c, 0x42274aed4818593a, 0x42274aed4818593c, 0x42274aed4818593d, 0x42274aed4818593e}},
+		{device.EngineMemcpy, HopDistance, [6]uint64{0x4232194489555555, 0x4232824e75c34d0a, 0x4232df7b7d696969, 0x42333212631c71c6, 0x42337bf7b75e50d7, 0x4233be7950000000}},
+		{device.EngineMemcpy, RoundRobin, [6]uint64{0x4235fabf6271bd00, 0x4235fabf6271bd00, 0x4235fabf6271bd01, 0x4235fabf6271bd01, 0x4236a79572d54dc0, 0x4235d389de024330}},
+		{device.EngineMemcpy, ClassBalanced, [6]uint64{0x42274aed4818593a, 0x42274aed4818593c, 0x42274aed4818593a, 0x42274aed4818593c, 0x42274aed4818593d, 0x42274aed4818593e}},
+		{device.EngineTCPSend, LocalOnly, [6]uint64{0x421273ceaf40991e, 0x421273ceaf40991d, 0x421273ceaf40991e, 0x421273ceaf40991e, 0x421273ceaf409920, 0x421273ceaf40991f}},
+		{device.EngineTCPSend, HopDistance, [6]uint64{0x4212152c139839ee, 0x4211c8dd6eb0f067, 0x4211e8d6f0d3a3f8, 0x4212049b2779c5f4, 0x42121cf19db5718c, 0x4212327374558932}},
+		{device.EngineTCPSend, RoundRobin, [6]uint64{0x4212152c139839ee, 0x4211c8dd6eb0f067, 0x4211e8d6f0d3a3f8, 0x4212049b2779c5f4, 0x42121cf19db5718c, 0x4212327374558932}},
+		{device.EngineTCPSend, ClassBalanced, [6]uint64{0x42138eca47fffffe, 0x42138eca48000000, 0x42138eca48000000, 0x42138eca48000000, 0x42138eca48000000, 0x42138eca48000000}},
+	} {
+		for k, want := range tc.bits {
+			tasks := 11 + k
+			placement, err := s.Place(tc.engine, tasks, tc.policy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			est, err := s.Estimate(tc.engine, placement)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := math.Float64bits(float64(est)); got != want {
+				t.Errorf("%s %v %d tasks: estimate bits %#x, want %#x", tc.engine, tc.policy, tasks, got, want)
 			}
 		}
 	}

@@ -250,11 +250,6 @@ func (s *Server) handle(pattern string, h http.HandlerFunc) {
 	})
 }
 
-// maxBodyBytes bounds the body of a response-cached request: 25 times the
-// largest shipped inline machine (hp-blade32, 41 KB). A longer one is
-// answered 413.
-const maxBodyBytes = 1 << 20
-
 // reqBody is a pooled request-body buffer with the bounded reader that
 // fills it, so reading a body allocates nothing once the pool is warm.
 type reqBody struct {
@@ -273,25 +268,25 @@ func (b *reqBody) release() {
 }
 
 // handleCached registers a route whose 200 responses cache. Its wrapper
-// reads the body once, at most maxBodyBytes, and answers a request spelled
-// exactly like one an earlier canonical hit served straight from cache:
-// before the decode, the canonical key and the request deadline, with the
-// read and the lookup as its only stage, "cache". Any other body goes on
-// to h, under the deadline, which decodes the same bytes; its read and
-// probe are then the start of its "decode" stage.
+// reads the body once, at most telemetry.MaxBodyBytes, and answers a
+// request spelled exactly like one an earlier canonical hit served straight
+// from cache: before the decode, the canonical key and the request
+// deadline, with the read and the lookup as its only stage, "cache". Any
+// other body goes on to h, under the deadline, which decodes the same
+// bytes; its read and probe are then the start of its "decode" stage.
 func (s *Server) handleCached(pattern string, cache *RespCache, h func(http.ResponseWriter, *http.Request, []byte)) {
 	s.pipe.Handle(s.mux, pattern, func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		rb := bodyPool.Get().(*reqBody)
 		defer rb.release()
 		rb.buf.Reset()
-		rb.lim = io.LimitedReader{R: r.Body, N: maxBodyBytes + 1}
+		rb.lim = io.LimitedReader{R: r.Body, N: telemetry.MaxBodyBytes + 1}
 		if _, err := rb.buf.ReadFrom(&rb.lim); err != nil {
 			writeError(w, http.StatusBadRequest, "reading request body: %v", err)
 			return
 		}
-		if rb.buf.Len() > maxBodyBytes {
-			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", maxBodyBytes)
+		if rb.buf.Len() > telemetry.MaxBodyBytes {
+			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", telemetry.MaxBodyBytes)
 			return
 		}
 		body := rb.buf.Bytes()

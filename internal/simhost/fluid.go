@@ -34,16 +34,12 @@ type TransferResult struct {
 
 // SessionResult reports a whole fluid run.
 type SessionResult struct {
-	Transfers map[string]TransferResult
+	// Transfers[i] reports the run's transfers[i].
+	Transfers []TransferResult
 	// Makespan is the completion time of the last transfer.
 	Makespan units.Duration
 	// AggregateBandwidth is total bytes moved divided by the makespan.
 	AggregateBandwidth units.Bandwidth
-	// SteadyAggregate is the sum of initial (all-active) rates, the number
-	// a long-running benchmark such as fio converges to when all jobs move
-	// the same amount of data. It is accumulated in ascending transfer-ID
-	// order, so the float sum is deterministic.
-	SteadyAggregate units.Bandwidth
 	// Timeline records every constant-rate phase of the run, including
 	// per-resource utilization — the observability layer for contention
 	// analysis.
@@ -77,7 +73,6 @@ type fluidSession struct {
 	remaining []float64 // bits left
 	rate      []float64 // rate in the current phase
 	done      []bool
-	results   []TransferResult
 	dropIdx   []int32 // per-phase completed flow indices
 
 	// Timeline arenas: phase records accumulate here during a run and are
@@ -182,7 +177,7 @@ func (fs *fluidSession) register(transfers []Transfer) error {
 func RunFluid(resources []fabric.Resource, transfers []Transfer, tr *telemetry.Tracer, tid int) (*SessionResult, error) {
 	n := len(transfers)
 	if n == 0 {
-		return &SessionResult{Transfers: map[string]TransferResult{}}, nil
+		return &SessionResult{}, nil
 	}
 	var runSpan *telemetry.Span
 	if tr != nil {
@@ -203,15 +198,13 @@ func RunFluid(resources []fabric.Resource, transfers []Transfer, tr *telemetry.T
 		fs.remaining = make([]float64, n)
 		fs.rate = make([]float64, n)
 		fs.done = make([]bool, n)
-		fs.results = make([]TransferResult, n)
 	}
-	remaining, rate := fs.remaining[:n], fs.rate[:n]
-	done, results := fs.done[:n], fs.results[:n]
+	remaining, rate, done := fs.remaining[:n], fs.rate[:n], fs.done[:n]
 	for i, ti := range ord {
 		remaining[i] = transfers[ti].Bytes.Bits()
 		done[i] = false
-		results[i] = TransferResult{}
 	}
+	results := make([]TransferResult, n) // indexed like transfers
 	fs.spans = fs.spans[:0]
 	fs.rateArena = fs.rateArena[:0]
 	fs.utilArena = fs.utilArena[:0]
@@ -228,7 +221,7 @@ func RunFluid(resources []fabric.Resource, transfers []Transfer, tr *telemetry.T
 			phaseSpanT = runSpan.StartSpan("fluid-phase", "fluid",
 				telemetry.Int("phase", phaseIdx), telemetry.Int("active", activeCount))
 		}
-		ia, err := s.SolveIndexed()
+		a, err := s.Solve()
 		if err != nil {
 			phaseSpanT.End()
 			return nil, err
@@ -236,15 +229,14 @@ func RunFluid(resources []fabric.Resource, transfers []Transfer, tr *telemetry.T
 
 		// Time until the next completion at current rates. Flows were added
 		// in sorted ord order and removal splices in place, so the k-th
-		// still-active transfer is exactly flow index k — rates come straight
-		// off the indexed view without any string-keyed lookups.
+		// still-active transfer is exactly flow index k.
 		dt := math.Inf(1)
 		k := 0
 		for i := range ord {
 			if done[i] {
 				continue
 			}
-			r := float64(ia.Rate(k))
+			r := float64(a.Rate(k))
 			k++
 			if r <= 0 {
 				phaseSpanT.End()
@@ -257,14 +249,14 @@ func RunFluid(resources []fabric.Resource, transfers []Transfer, tr *telemetry.T
 		}
 
 		// Record the phase into the arenas before any removal below
-		// invalidates the indexed view. Only loaded resources appear in the
-		// utilization list — an absent entry reads as 0, which is also its
-		// value.
+		// invalidates the allocation view. Only loaded resources appear in
+		// the utilization list — an absent entry reads as 0, which is also
+		// its value.
 		sp := phaseSpan{start: now, dur: dt}
-		nres := ia.NumResources()
+		nres := a.NumResources()
 		for ri := 0; ri < nres; ri++ {
-			if u := ia.Utilization(ri); u > 0 {
-				fs.utilArena = append(fs.utilArena, ResourceUtil{Resource: ia.ResourceID(ri), Util: u})
+			if u := a.Utilization(ri); u > 0 {
+				fs.utilArena = append(fs.utilArena, ResourceUtil{Resource: a.ResourceID(ri), Util: u})
 				sp.utilN++
 			}
 		}
@@ -277,18 +269,18 @@ func RunFluid(resources []fabric.Resource, transfers []Transfer, tr *telemetry.T
 			if done[i] {
 				continue
 			}
-			t := &transfers[ord[i]]
+			t, res := &transfers[ord[i]], &results[ord[i]]
 			fs.rateArena = append(fs.rateArena, TransferRate{ID: t.ID, Rate: units.Bandwidth(rate[i])})
 			sp.ratesN++
 			if first {
-				results[i].ID = t.ID
-				results[i].InitialRate = units.Bandwidth(rate[i])
+				res.ID = t.ID
+				res.InitialRate = units.Bandwidth(rate[i])
 			}
 			remaining[i] -= rate[i] * dt
 			if remaining[i] <= 1e-3 { // sub-bit residue
-				results[i].Bytes = t.Bytes
-				results[i].Duration = units.Duration(now + dt)
-				results[i].Bandwidth = units.Rate(t.Bytes, results[i].Duration)
+				res.Bytes = t.Bytes
+				res.Duration = units.Duration(now + dt)
+				res.Bandwidth = units.Rate(t.Bytes, res.Duration)
 				totalBits += t.Bytes.Bits()
 				fs.compArena = append(fs.compArena, t.ID)
 				sp.compN++
@@ -309,17 +301,12 @@ func RunFluid(resources []fabric.Resource, transfers []Transfer, tr *telemetry.T
 	}
 
 	out := &SessionResult{
-		Transfers: make(map[string]TransferResult, n),
+		Transfers: results,
 		Makespan:  units.Duration(now),
 		Timeline:  fs.materializeTimeline(),
 	}
 	if now > 0 {
 		out.AggregateBandwidth = units.Bandwidth(totalBits / now)
-	}
-	// Accumulated in ord (ascending ID) order: deterministic float sum.
-	for i, ti := range ord {
-		out.Transfers[transfers[ti].ID] = results[i]
-		out.SteadyAggregate += results[i].InitialRate
 	}
 	return out, nil
 }
@@ -352,12 +339,12 @@ func SteadyRates(resources []fabric.Resource, transfers []Transfer, rates []unit
 	if err := fs.register(transfers); err != nil {
 		return err
 	}
-	ia, err := fs.s.SolveIndexed()
+	a, err := fs.s.Solve()
 	if err != nil {
 		return err
 	}
 	for k, ti := range fs.ord {
-		r := ia.Rate(k)
+		r := a.Rate(k)
 		if r <= 0 {
 			return starved(&transfers[ti])
 		}

@@ -35,17 +35,23 @@ func TestRunFluidSimultaneousCompletions(t *testing.T) {
 	if !reflect.DeepEqual(p.Completed, []string{"a", "b"}) {
 		t.Errorf("completed = %v, want [a b]", p.Completed)
 	}
-	// Both ran at 5 Gb/s for the whole makespan.
-	for _, id := range []string{"a", "b"} {
+	// Both ran at 5 Gb/s for the whole makespan. Results come back in
+	// input order, not ID order.
+	var steady units.Bandwidth
+	for i, id := range []string{"b", "a"} {
 		if got := p.Rates.Get(id).Gbps(); math.Abs(got-5) > 1e-6 {
 			t.Errorf("rate[%s] = %v, want 5", id, got)
 		}
-		tr := out.Transfers[id]
+		tr := out.Transfers[i]
+		if tr.ID != id {
+			t.Errorf("Transfers[%d].ID = %q, want %q", i, tr.ID, id)
+		}
 		if math.Abs(tr.Duration.Seconds()-out.Makespan.Seconds()) > 1e-9 {
 			t.Errorf("duration[%s] = %v, want makespan %v", id, tr.Duration, out.Makespan)
 		}
+		steady += tr.InitialRate
 	}
-	if got := out.SteadyAggregate.Gbps(); math.Abs(got-10) > 1e-6 {
+	if got := steady.Gbps(); math.Abs(got-10) > 1e-6 {
 		t.Errorf("steady aggregate = %v, want 10", got)
 	}
 }
@@ -113,7 +119,7 @@ func TestRunFluidSingleTransferTimeline(t *testing.T) {
 	if got := p.Utilization.Get("l"); math.Abs(got-1) > 1e-9 {
 		t.Errorf("utilization = %v, want 1", got)
 	}
-	if got := out.Transfers["only"].InitialRate.Gbps(); math.Abs(got-8) > 1e-6 {
+	if got := out.Transfers[0].InitialRate.Gbps(); math.Abs(got-8) > 1e-6 {
 		t.Errorf("initial rate = %v, want 8", got)
 	}
 	if got := out.AggregateBandwidth.Gbps(); math.Abs(got-8) > 1e-6 {
@@ -153,7 +159,7 @@ func TestRunFluidRateCappedContention(t *testing.T) {
 	if got := p1.Rates.Get("capped").Gbps(); math.Abs(got-2) > 1e-6 {
 		t.Errorf("phase 1 capped rate = %v, want 2", got)
 	}
-	if got := out.Transfers["capped"].Bandwidth.Gbps(); math.Abs(got-2) > 1e-6 {
+	if got := out.Transfers[0].Bandwidth.Gbps(); math.Abs(got-2) > 1e-6 {
 		t.Errorf("capped average = %v, want 2", got)
 	}
 }
@@ -245,7 +251,10 @@ func TestSteadyRatesMatchesRunFluid(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, tr := range transfers {
-			want := out.Transfers[tr.ID].InitialRate
+			if out.Transfers[i].ID != tr.ID {
+				t.Fatalf("trial %d: Transfers[%d].ID = %q, want %q", trial, i, out.Transfers[i].ID, tr.ID)
+			}
+			want := out.Transfers[i].InitialRate
 			if math.Float64bits(float64(rates[i])) != math.Float64bits(float64(want)) {
 				t.Fatalf("trial %d: %s steady rate %v != RunFluid initial rate %v", trial, tr.ID, rates[i], want)
 			}

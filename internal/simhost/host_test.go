@@ -306,7 +306,7 @@ func TestRunFluidSingle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := out.Transfers["t"]
+	tr := out.Transfers[0]
 	wantDur := units.GiB.Bits() / 8e9
 	if math.Abs(tr.Duration.Seconds()-wantDur) > 1e-9 {
 		t.Errorf("duration = %v, want %v", tr.Duration.Seconds(), wantDur)
@@ -333,7 +333,7 @@ func TestRunFluidResolvesAfterCompletion(t *testing.T) {
 	}
 	// Phase 1: both at 5 Gb/s until small done at t=1s (5 Gbit each moved).
 	// Phase 2: big alone at 10 Gb/s for its remaining 10 Gbit -> 1s more.
-	small, big := out.Transfers["small"], out.Transfers["big"]
+	small, big := out.Transfers[0], out.Transfers[1]
 	if math.Abs(small.Duration.Seconds()-1.048576) > 1e-3 {
 		t.Errorf("small duration = %v", small.Duration.Seconds())
 	}
@@ -346,8 +346,8 @@ func TestRunFluidResolvesAfterCompletion(t *testing.T) {
 	if math.Abs(big.Bandwidth.Gbps()-7.5) > 1e-3 {
 		t.Errorf("big average = %v, want 7.5", big.Bandwidth.Gbps())
 	}
-	if math.Abs(out.SteadyAggregate.Gbps()-10) > 1e-6 {
-		t.Errorf("steady aggregate = %v, want 10", out.SteadyAggregate.Gbps())
+	if steady := small.InitialRate + big.InitialRate; math.Abs(steady.Gbps()-10) > 1e-6 {
+		t.Errorf("steady aggregate = %v, want 10", steady.Gbps())
 	}
 }
 
@@ -360,7 +360,7 @@ func TestRunFluidDemandCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := out.Transfers["capped"].Bandwidth.Gbps(); math.Abs(got-2) > 1e-6 {
+	if got := out.Transfers[0].Bandwidth.Gbps(); math.Abs(got-2) > 1e-6 {
 		t.Errorf("capped rate = %v, want 2", got)
 	}
 }

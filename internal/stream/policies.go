@@ -56,18 +56,12 @@ func (r *Runner) MeasureInterleaved(cpu topology.NodeID) (units.Bandwidth, error
 	for _, sz := range pages {
 		total += float64(sz)
 	}
-	s, err := fabric.NewMachineSolver(m)
-	if err != nil {
-		return 0, err
-	}
 	coreCap := float64(cpuNode.CoreIssueBandwidth) *
 		float64(threads) / float64(cpuNode.Cores) *
 		cpuNode.EffectiveCoreMultiplier()
-	if err := s.SetResource(fabric.Resource{
+	resources := append(fabric.MachineResources(m), fabric.Resource{
 		ID: fabric.CoreResource(cpu), Capacity: units.Bandwidth(coreCap),
-	}); err != nil {
-		return 0, err
-	}
+	})
 	var usages []fabric.Usage
 	var effSum, fracSum float64
 	for _, mem := range m.NodeIDs() {
@@ -90,15 +84,12 @@ func (r *Runner) MeasureInterleaved(cpu topology.NodeID) (units.Bandwidth, error
 		return 0, fmt.Errorf("stream: interleaved buffer has no pages")
 	}
 	usages = append(usages, fabric.Usage{Resource: fabric.CoreResource(cpu), Weight: 1})
-	if err := s.AddFlow(fabric.Flow{ID: "stream-il", Usages: usages}); err != nil {
-		return 0, err
-	}
-	alloc, err := s.Solve()
+	rate, err := fabric.AggregateRate(resources, []fabric.Flow{{ID: "stream-il", Usages: usages}})
 	if err != nil {
 		return 0, err
 	}
 
-	bw := float64(alloc.Rate("stream-il")) * (effSum / fracSum) *
+	bw := float64(rate) * (effSum / fracSum) *
 		r.cfg.Kernel.factor() * r.osFactor(cpu)
 	key := fmt.Sprintf("%s/%v/il/cpu%d/t%d", m.Name, r.cfg.Kernel, cpu, threads)
 	bw *= simhost.JitterMax(key, r.cfg.Sigma, r.cfg.Runs)

@@ -214,19 +214,13 @@ func (r *Runner) Measure(cpu, mem topology.NodeID) (units.Bandwidth, error) {
 // pioBandwidth computes the raw fabric-limited PIO rate for a single
 // multi-threaded kernel instance.
 func pioBandwidth(m *topology.Machine, cpu, mem topology.NodeID, threads int, fill bool) (float64, error) {
-	s, err := fabric.NewMachineSolver(m)
-	if err != nil {
-		return 0, err
-	}
 	cpuNode := m.MustNode(cpu)
 	coreCap := float64(cpuNode.CoreIssueBandwidth) *
 		float64(threads) / float64(cpuNode.Cores) *
 		cpuNode.EffectiveCoreMultiplier()
-	if err := s.SetResource(fabric.Resource{
+	resources := append(fabric.MachineResources(m), fabric.Resource{
 		ID: fabric.CoreResource(cpu), Capacity: units.Bandwidth(coreCap),
-	}); err != nil {
-		return 0, err
-	}
+	})
 	usages, err := fabric.PIOFlowUsages(m, cpu, mem, fabric.DefaultPIOParams())
 	if fill {
 		usages, err = fabric.FillFlowUsages(m, cpu, mem, fabric.DefaultPIOParams())
@@ -235,14 +229,8 @@ func pioBandwidth(m *topology.Machine, cpu, mem topology.NodeID, threads int, fi
 		return 0, err
 	}
 	usages = append(usages, fabric.Usage{Resource: fabric.CoreResource(cpu), Weight: 1})
-	if err := s.AddFlow(fabric.Flow{ID: "stream", Usages: usages}); err != nil {
-		return 0, err
-	}
-	alloc, err := s.Solve()
-	if err != nil {
-		return 0, err
-	}
-	return float64(alloc.Rate("stream")), nil
+	bw, err := fabric.AggregateRate(resources, []fabric.Flow{{ID: "stream", Usages: usages}})
+	return float64(bw), err
 }
 
 func (r *Runner) relationEff(cpu, mem topology.NodeID) float64 {

@@ -365,6 +365,11 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Write(append(buf, '\n'))
 }
 
+// MaxBodyBytes bounds every request body either daemon buffers: 25 times
+// the largest shipped inline machine (hp-blade32, 41 KB). A longer body is
+// answered 413 before any work is done for it.
+const MaxBodyBytes = 1 << 20
+
 // WriteError writes the daemons' uniform error body, {"error": "..."}.
 func WriteError(w http.ResponseWriter, status int, format string, args ...any) {
 	WriteJSON(w, status, struct {

@@ -7,16 +7,16 @@
 #
 # Compare two revisions with: benchstat BENCH_<old>.txt BENCH_<new>.txt
 #
-# With -check the script instead runs the CharacterizeAll/RunFluid and
-# PredictRequest/PlaceRequest hot paths once (with the respelled-body and
-# response-cache-miss predict cases beside them) and compares their ns/op,
-# B/op and allocs/op against the most recent recorded BENCH_*.json,
+# With -check the script instead runs the CharacterizeAll/RunFluid/Solver
+# and PredictRequest/PlaceRequest hot paths once (with the respelled-body
+# and response-cache-miss predict cases beside them) and compares their
+# ns/op, B/op and allocs/op against the most recent recorded BENCH_*.json,
 # failing on a slowdown — or an allocation regression — beyond TOLERANCE,
 # plus absolute gates on the sweep hot path (CharacterizeAll <= 512000
-# B/op, RunFluid <= 10 allocs/op) and on the exact-bytes hit
-# (PredictRequest <= 30 allocs/op), a same-run gate on the what-if path
-# (Whatif/reuse faster than Whatif/fresh at no more than half its
-# allocs/op) and on the telemetry tax (flight recorder
+# B/op, RunFluid <= 6 allocs/op, Solver/reused at 0 allocs/op) and on the
+# exact-bytes hit (PredictRequest <= 30 allocs/op), a same-run gate on the
+# what-if path (Whatif/reuse faster than Whatif/fresh at no more than half
+# its allocs/op) and on the telemetry tax (flight recorder
 # on/off request ratio <= RECORDER_TOLERANCE, FlightRecorderRecord at 0
 # allocs/op) — the CI bench-regression guard. Both gate passes always run
 # and print every verdict; the script fails if either does. Nothing is
@@ -56,7 +56,7 @@ if [ "${1:-}" = "-check" ]; then
     trap 'rm -rf "$tmp"' EXIT
     echo "bench.sh -check: comparing against $baseline (limit ${tolerance}x)"
     go test -run '^$' \
-        -bench '^(BenchmarkCharacterizeAll|BenchmarkWhatif|BenchmarkRunFluid|BenchmarkSolverIncremental|BenchmarkPredictRequest|BenchmarkPredictRequestRespelled|BenchmarkPredictRequestMiss|BenchmarkPlaceRequest|BenchmarkRecorderOverhead|BenchmarkFlightRecorderRecord)$' \
+        -bench '^(BenchmarkCharacterizeAll|BenchmarkWhatif|BenchmarkRunFluid|BenchmarkSolver|BenchmarkSolverIncremental|BenchmarkPredictRequest|BenchmarkPredictRequestRespelled|BenchmarkPredictRequestMiss|BenchmarkPlaceRequest|BenchmarkRecorderOverhead|BenchmarkFlightRecorderRecord)$' \
         -benchmem -benchtime "${BENCHTIME:-1s}" . | tee "$tmp/bench.txt"
     # The recorder on/off ratio compares two ~16us request paths, so its
     # signal (~0.4us) is the same size as scheduler noise in one sample.
@@ -161,6 +161,7 @@ if [ "${1:-}" = "-check" ]; then
         if (($5 + 0) > maxsweepb) { maxsweepb = $5 + 0; maxsweepname = $1 }
     }
     /^BenchmarkRunFluid/ { fluidallocs = $7 + 0; seenfluid = 1 }
+    /^BenchmarkSolver\/reused/ { reusedallocs = $7 + 0; seenreused = 1 }
     $1 ~ /^BenchmarkPredictRequest(-[0-9]+)?$/ { predictallocs = $7 + 0; seenpredict = 1 }
     /^BenchmarkWhatif\/fresh/ { wfresh = $3 + 0; wfreshallocs = $7 + 0 }
     /^BenchmarkWhatif\/reuse/ { wreuse = $3 + 0; wreuseallocs = $7 + 0 }
@@ -219,13 +220,25 @@ if [ "${1:-}" = "-check" ]; then
             bad = 1
         }
         if (seenfluid) {
-            printf "RunFluid allocations: %.0f allocs/op (ceiling 10)\n", fluidallocs
-            if (fluidallocs > 10) {
-                print "bench.sh -check: RunFluid above the 10 allocs/op ceiling" > "/dev/stderr"
+            printf "RunFluid allocations: %.0f allocs/op (ceiling 6)\n", fluidallocs
+            if (fluidallocs > 6) {
+                print "bench.sh -check: RunFluid above the 6 allocs/op ceiling" > "/dev/stderr"
                 bad = 1
             }
         } else {
             print "bench.sh -check: RunFluid results missing" > "/dev/stderr"
+            bad = 1
+        }
+        # A reused solver keeps its buffers across rounds; its solve result
+        # is a view, so a warm round allocates nothing.
+        if (seenreused) {
+            printf "Solver/reused allocations: %.0f allocs/op (ceiling 0)\n", reusedallocs
+            if (reusedallocs > 0) {
+                print "bench.sh -check: Solver/reused must stay allocation-free" > "/dev/stderr"
+                bad = 1
+            }
+        } else {
+            print "bench.sh -check: Solver/reused results missing" > "/dev/stderr"
             bad = 1
         }
         if (seenpredict) {
