@@ -7,15 +7,15 @@ import (
 	"numaio/internal/units"
 )
 
-// FuzzIncrementalOps decodes an arbitrary byte string into an add/remove/
-// retune/solve op sequence against the DL585 G7 fabric and checks, at every
-// solve and at the end, that the incremental solver's allocation is
-// bit-identical to a solver rebuilt from scratch. The seed corpus pins the
-// dirty-set corner cases: removal splitting a component, back-to-back
-// solves (the nothing-changed fast path), capacity retunes, demand-frozen
-// flows, and interleaved add/remove bursts. `go test` runs the seeds as
-// part of tier-1; `go test -fuzz FuzzIncrementalOps ./internal/fabric`
-// explores further.
+// FuzzIncrementalOps checks that a reused solver equals a fresh one. It
+// decodes an arbitrary byte string into an add/remove/retune/solve op
+// sequence against the DL585 G7 fabric and checks, at every solve and at the
+// end, that the reused solver's allocation is bit-identical to a solver
+// rebuilt from scratch. The seed corpus covers removals that split the
+// flow/resource graph, back-to-back solves, capacity retunes, demand-frozen
+// flows, interleaved add/remove bursts, batch removals and Reset rebuilds.
+// `go test` runs the seeds as part of tier-1; `go test -fuzz
+// FuzzIncrementalOps ./internal/fabric` explores further.
 func FuzzIncrementalOps(f *testing.F) {
 	const (
 		opAdd     = 0 // + src, dst, demand selector

@@ -9,8 +9,9 @@ import (
 	"numaio/internal/units"
 )
 
-// internMachines are the reference topologies the pooled solver must
-// reproduce exactly (same set reuse_test.go's contract covers for RunFluid).
+// internMachines are the reference topologies a reused solver must solve
+// exactly like a fresh one (same set reuse_test.go's contract covers for
+// RunFluid).
 var internMachines = []string{"dl585g7", "magny-a", "intel-4s4n"}
 
 // machineWorkload builds a contended copy workload over a machine: four
@@ -48,40 +49,34 @@ func machineWorkload(t *testing.T, name string) ([]Resource, []Flow) {
 	return resources, flows
 }
 
-// TestPooledSolverMatchesFresh: a recycled pooled solver must behave exactly
-// like a freshly constructed one, including across machines of different
-// sizes, so the request path can pool solvers without changing any output.
+// TestPooledSolverMatchesFresh: one solver kept across machines of
+// different sizes, as a pooled fluid session keeps its own, and Cleared
+// between them, must solve each machine exactly like a freshly constructed
+// solver, so the request path can reuse solvers without changing any
+// output.
 func TestPooledSolverMatchesFresh(t *testing.T) {
-	// Dirty the pool with a solve of each machine first, then re-solve every
-	// machine on pooled solvers and compare against fresh ones.
-	for _, name := range internMachines {
+	load := func(t *testing.T, s *Solver, name string) {
 		resources, flows := machineWorkload(t, name)
-		s := AcquireSolver()
 		for _, r := range resources {
 			mustSetResource(t, s, r)
 		}
 		for _, f := range flows {
 			mustAddFlow(t, s, f)
 		}
-		if _, err := s.Solve(); err != nil {
-			t.Fatal(err)
-		}
-		ReleaseSolver(s)
+	}
+	// Solve the last machine first, so every machine below follows
+	// another's table on the reused solver.
+	pooled := NewSolver()
+	load(t, pooled, internMachines[len(internMachines)-1])
+	if _, err := pooled.Solve(); err != nil {
+		t.Fatal(err)
 	}
 	for _, name := range internMachines {
 		t.Run(name, func(t *testing.T) {
-			resources, flows := machineWorkload(t, name)
+			pooled.Clear()
+			load(t, pooled, name)
 			fresh := NewSolver()
-			pooled := AcquireSolver()
-			defer ReleaseSolver(pooled)
-			for _, s := range []*Solver{fresh, pooled} {
-				for _, r := range resources {
-					mustSetResource(t, s, r)
-				}
-				for _, f := range flows {
-					mustAddFlow(t, s, f)
-				}
-			}
+			load(t, fresh, name)
 			assertSameAllocation(t, name+" pooled", pooled, fresh)
 		})
 	}

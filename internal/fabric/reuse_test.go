@@ -37,8 +37,8 @@ func TestSolverResetKeepsResources(t *testing.T) {
 	}
 }
 
-// TestSolverRemoveFlowAt: removing a flow by index frees its share and
-// shifts the later flows down one index.
+// TestSolverRemoveFlowAt: removing one flow by index (RemoveFlowsAt with a
+// single index) frees its share and shifts the later flows down one index.
 func TestSolverRemoveFlowAt(t *testing.T) {
 	s := NewSolver()
 	mustSetResource(t, s, Resource{ID: "l", Capacity: 30 * units.Gbps})
@@ -46,7 +46,7 @@ func TestSolverRemoveFlowAt(t *testing.T) {
 		mustAddFlow(t, s, Flow{ID: fmt.Sprintf("f%d", i),
 			Usages: []Usage{{Resource: "l", Weight: 1}}})
 	}
-	s.RemoveFlowAt(1)
+	s.RemoveFlowsAt([]int32{1})
 	if got := s.NumFlows(); got != 2 {
 		t.Fatalf("flows = %d, want 2", got)
 	}
@@ -77,7 +77,7 @@ func TestSolverRemoveFlowAt(t *testing.T) {
 }
 
 // TestSolverReuseMatchesFresh: a reused solver (shrinking flow set via
-// RemoveFlowAt) must produce exactly the allocation a freshly built solver
+// RemoveFlowsAt) must produce exactly the allocation a freshly built solver
 // produces for the same flow subset — this is the contract RunFluid's
 // fast path depends on.
 func TestSolverReuseMatchesFresh(t *testing.T) {
@@ -112,7 +112,7 @@ func TestSolverReuseMatchesFresh(t *testing.T) {
 		assertSameAllocation(t, fmt.Sprintf("live=%d", len(live)), reused, build(live))
 		// Drop the middle survivor to exercise non-edge splices.
 		victim := len(live) / 2
-		reused.RemoveFlowAt(victim)
+		reused.RemoveFlowsAt([]int32{int32(victim)})
 		live = append(live[:victim], live[victim+1:]...)
 	}
 }

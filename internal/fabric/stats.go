@@ -44,15 +44,11 @@ func (c *shardedCounter) Load() int64 {
 
 // Package-wide solver statistics, exported to numaiod's /metrics. They are
 // plain (sharded) atomics — no telemetry dependency, fabric stays
-// leaf-level — counted across every solver in the process, pooled or not.
+// leaf-level — counted across every solver in the process.
 var (
-	statSolves      shardedCounter
-	statSolveNanos  shardedCounter
-	statResets      shardedCounter
-	statIncremental shardedCounter
-	statFull        shardedCounter
-	statPoolGets    atomic.Int64
-	statPoolNews    atomic.Int64
+	statSolves     shardedCounter
+	statSolveNanos shardedCounter
+	statResets     shardedCounter
 )
 
 // Stats is a snapshot of the package-wide solver counters.
@@ -63,34 +59,19 @@ type Stats struct {
 	SolveNanos int64
 	// Resets counts Solver.Reset calls (flow-set reuse between fluid runs).
 	Resets int64
-	// IncrementalSolves counts solves served from the converged allocation:
-	// at least one connected component kept its stored rates (including the
-	// nothing-changed fast path). FullSolves counts solves that re-leveled
-	// every flow — no prior state, or a dirty frontier spanning the whole
-	// graph. IncrementalSolves + FullSolves == Solves.
+	// IncrementalSolves is always 0: every Solve re-levels every flow. It
+	// stays because perfbench still reads it.
 	IncrementalSolves int64
-	FullSolves        int64
-	// PoolGets counts AcquireSolver calls; PoolNews counts the ones that had
-	// to construct a fresh solver. PoolGets - PoolNews is the pool hit count.
-	PoolGets int64
-	PoolNews int64
 }
 
 // ReadStats snapshots the solver counters.
 func ReadStats() Stats {
 	return Stats{
-		Solves:            statSolves.Load(),
-		SolveNanos:        statSolveNanos.Load(),
-		Resets:            statResets.Load(),
-		IncrementalSolves: statIncremental.Load(),
-		FullSolves:        statFull.Load(),
-		PoolGets:          statPoolGets.Load(),
-		PoolNews:          statPoolNews.Load(),
+		Solves:     statSolves.Load(),
+		SolveNanos: statSolveNanos.Load(),
+		Resets:     statResets.Load(),
 	}
 }
-
-// PoolHits returns the number of AcquireSolver calls served from the pool.
-func (s Stats) PoolHits() int64 { return s.PoolGets - s.PoolNews }
 
 // timedSolve wraps the core water-filling pass with the stats counters.
 func (s *Solver) timedSolve() error {

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"strconv"
 
 	"numaio/internal/device"
 	"numaio/internal/fabric"
@@ -41,14 +42,15 @@ func (s *Scheduler) Estimate(engine string, placement []topology.NodeID) (units.
 	if len(devs) == 0 {
 		return 0, fmt.Errorf("sched: no %v device", spec.Kind)
 	}
+	devRes := make([]fabric.ResourceID, len(devs))
 	var resources []fabric.Resource
-	for _, d := range devs {
-		resources = append(resources, fabric.Resource{
-			ID: fabric.DeviceResource(d.ID, spec.Name), Capacity: spec.Ceiling,
-		})
+	for i, d := range devs {
+		devRes[i] = fabric.DeviceResource(d.ID, spec.Name)
+		resources = append(resources, fabric.Resource{ID: devRes[i], Capacity: spec.Ceiling})
 	}
+	devNode := s.devNode(spec)
 	for _, n := range m.Nodes {
-		if spec.PerStreamHost <= 0 && n.ID != s.devNode(spec) {
+		if spec.PerStreamHost <= 0 && n.ID != devNode {
 			continue
 		}
 		resources = append(resources, fabric.Resource{
@@ -58,27 +60,30 @@ func (s *Scheduler) Estimate(engine string, placement []topology.NodeID) (units.
 		})
 	}
 
-	devNode := s.devNode(spec)
+	// Tasks of one class share its rate: compute it once per class.
+	classRates := make(map[int]units.Bandwidth, len(model.Classes))
 	flows := make([]fabric.Flow, 0, len(placement))
 	for i, n := range placement {
 		cls, err := model.ClassOf(n)
 		if err != nil {
 			return 0, err
 		}
-		rate, err := s.classRate(engine, cls)
-		if err != nil {
-			return 0, err
+		rate, ok := classRates[cls.Rank]
+		if !ok {
+			if rate, err = s.classRate(engine, cls); err != nil {
+				return 0, err
+			}
+			if rate <= 0 {
+				return 0, fmt.Errorf("sched: zero class rate for node %d", int(n))
+			}
+			classRates[cls.Rank] = rate
 		}
-		if rate <= 0 {
-			return 0, fmt.Errorf("sched: zero class rate for node %d", int(n))
-		}
-		dev := devs[i%len(devs)]
 		flow := fabric.Flow{
 			ID: fmt.Sprintf("t%d", i),
-			Usages: []fabric.Usage{
-				{Resource: fabric.DeviceResource(dev.ID, spec.Name),
-					Weight: float64(spec.Ceiling) / float64(rate)},
-			},
+			Usages: append(make([]fabric.Usage, 0, 3), fabric.Usage{
+				Resource: devRes[i%len(devs)],
+				Weight:   float64(spec.Ceiling) / float64(rate),
+			}),
 		}
 		if spec.PerStreamHost > 0 {
 			flow.Demand = spec.PerStreamHost
@@ -118,19 +123,18 @@ func (s *Scheduler) estimateMemcpy(placement []topology.NodeID) (units.Bandwidth
 	// One abstract "path" resource per distinct source class, holding that
 	// class's aggregate capacity (its average bandwidth): tasks of the same
 	// class share their class's paths into the target.
-	classCap := make(map[int]units.Bandwidth)
+	classIDs := make(map[int]fabric.ResourceID, len(s.writeModel.Classes))
 	flows := make([]fabric.Flow, 0, len(placement))
 	for i, n := range placement {
 		cls, err := s.writeModel.ClassOf(n)
 		if err != nil {
 			return 0, err
 		}
-		if _, ok := classCap[cls.Rank]; !ok {
-			classCap[cls.Rank] = cls.Avg
-			resources = append(resources, fabric.Resource{
-				ID:       fabric.ResourceID(fmt.Sprintf("class:%d", cls.Rank)),
-				Capacity: cls.Avg,
-			})
+		classID, ok := classIDs[cls.Rank]
+		if !ok {
+			classID = fabric.ResourceID("class:" + strconv.Itoa(cls.Rank))
+			classIDs[cls.Rank] = classID
+			resources = append(resources, fabric.Resource{ID: classID, Capacity: cls.Avg})
 		}
 		memWeight := 1.0
 		if n == target {
@@ -139,7 +143,7 @@ func (s *Scheduler) estimateMemcpy(placement []topology.NodeID) (units.Bandwidth
 		flows = append(flows, fabric.Flow{
 			ID: fmt.Sprintf("t%d", i),
 			Usages: []fabric.Usage{
-				{Resource: fabric.ResourceID(fmt.Sprintf("class:%d", cls.Rank)), Weight: 1},
+				{Resource: classID, Weight: 1},
 				{Resource: fabric.MemResource(target), Weight: memWeight},
 			},
 		})

@@ -606,3 +606,23 @@ func TestSchedulerAdaptsToDegradedLink(t *testing.T) {
 		}
 	}
 }
+
+// TestEstimateAllocs bounds the allocations of a 16-task tcp_send estimate
+// on dl585g7, so the device node, each class's rate and each device's
+// resource ID stay computed once per call, not once per machine node or
+// task (which costs about 300 allocations more).
+func TestEstimateAllocs(t *testing.T) {
+	_, s := newScheduler(t)
+	placement, err := s.Place(device.EngineTCPSend, 16, ClassBalanced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := s.Estimate(device.EngineTCPSend, placement); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 200 {
+		t.Errorf("16-task tcp_send estimate: %v allocs/op, want <= 200", allocs)
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"numaio/internal/service"
+	"numaio/internal/telemetry"
 )
 
 const predictBody = `{"machine": "intel-4s4n", "config": {"repeats": 1, "sigma": -1},
@@ -265,5 +266,47 @@ func TestBodyTooLarge(t *testing.T) {
 		if !strings.Contains(string(metrics), want) {
 			t.Errorf("metrics missing %q", want)
 		}
+	}
+}
+
+// TestDecodedBodyTooLarge: the routes that decode their body without the
+// response cache read it through the same bound. A valid request padded
+// past telemetry.MaxBodyBytes is answered 413 with the uniform error body,
+// and starts no characterization and no model pull.
+func TestDecodedBodyTooLarge(t *testing.T) {
+	var runs, pulls atomic.Int64
+	ts := newTestServer(t, &runs)
+	source := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		pulls.Add(1)
+		http.NotFound(w, r)
+	}))
+	t.Cleanup(source.Close)
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/characterize", fastBody},
+		{"/v1/predict/batch", `{"machine": "intel-4s4n", "config": {"repeats": 1, "sigma": -1},
+ "items": [{"target": 3, "mode": "write", "mix": {"0": 0.5, "3": 0.5}}]}`},
+		{"/v1/whatif", `{"machine": "intel-4s4n", "config": {"repeats": 1, "sigma": -1},
+ "target": 3, "modes": ["write"], "degrade": [{"a": "node0", "b": "node1", "factor": 0.5}]}`},
+		{"/v1/models/pull", `{"fingerprint": "f", "source": "` + source.URL + `"}`},
+	} {
+		t.Run(strings.TrimPrefix(tc.path, "/v1/"), func(t *testing.T) {
+			huge := tc.body + strings.Repeat(" ", telemetry.MaxBodyBytes+1-len(tc.body))
+			status, body := postJSON(t, ts.URL+tc.path, huge)
+			if status != http.StatusRequestEntityTooLarge {
+				t.Fatalf("status %d, want 413 (%.200s)", status, body)
+			}
+			var e struct {
+				Error string `json:"error"`
+			}
+			if err := json.Unmarshal(body, &e); err != nil || !strings.Contains(e.Error, "exceeds") {
+				t.Errorf("error body %.200s (%v)", body, err)
+			}
+			if n := runs.Load(); n != 0 {
+				t.Errorf("%d characterizations started", n)
+			}
+			if n := pulls.Load(); n != 0 {
+				t.Errorf("%d model pulls started", n)
+			}
+		})
 	}
 }

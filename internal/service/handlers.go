@@ -76,8 +76,7 @@ func (s *Server) handleCharacterize(w http.ResponseWriter, r *http.Request) {
 	stg := telemetry.StagesFromContext(r.Context())
 	start := time.Now()
 	var req characterizeRequest
-	if err := decodeBody(r.Body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	start = stg.Lap("decode", start)
@@ -359,8 +358,7 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 	stg := telemetry.StagesFromContext(r.Context())
 	start := time.Now()
 	var req predictBatchRequest
-	if err := decodeBody(r.Body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	if len(req.Items) == 0 {
@@ -681,8 +679,7 @@ func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 	stg := telemetry.StagesFromContext(r.Context())
 	start := time.Now()
 	var req whatifRequest
-	if err := decodeBody(r.Body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	if len(req.Degrade) == 0 {

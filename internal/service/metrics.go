@@ -71,18 +71,6 @@ func (s *Server) newRegistry() *telemetry.Registry {
 	r.IntCounterFunc("numaiod_solver_resets_total",
 		"Solver flow-set resets (fluid-session reuse between runs).",
 		func() int64 { return fabric.ReadStats().Resets })
-	r.IntCounterFunc("numaiod_solver_incremental_total",
-		"Solver passes served from converged state (dirty components only).",
-		func() int64 { return fabric.ReadStats().IncrementalSolves })
-	r.IntCounterFunc("numaiod_solver_full_total",
-		"Solver passes that re-leveled every flow from scratch.",
-		func() int64 { return fabric.ReadStats().FullSolves })
-	r.IntCounterFunc("numaiod_solver_pool_hits_total",
-		"AcquireSolver calls served from the solver pool.",
-		func() int64 { return fabric.ReadStats().PoolHits() })
-	r.IntCounterFunc("numaiod_solver_pool_misses_total",
-		"AcquireSolver calls that constructed a fresh solver.",
-		func() int64 { return fabric.ReadStats().PoolNews })
 	r.CounterSeries("numaiod_models_installed_total",
 		"Models installed by the fleet replication hooks (push or pull).", &s.installs)
 	r.IntGaugeFunc("numaiod_measure_workers_busy",

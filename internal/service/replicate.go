@@ -71,8 +71,7 @@ type modelPullRequest struct {
 // replication, driven by the gateway's hot-model tracking).
 func (s *Server) handleModelPull(w http.ResponseWriter, r *http.Request) {
 	var req modelPullRequest
-	if err := decodeBody(r.Body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	if req.Fingerprint == "" || req.Source == "" {

@@ -267,6 +267,43 @@ func (b *reqBody) release() {
 	}
 }
 
+// readBody reads r's whole body into a pooled buffer, at most
+// telemetry.MaxBodyBytes. When the read fails or the body is over the
+// bound, it answers the request itself (400 or 413) and returns nil.
+// Release the buffer once done with its bytes.
+func readBody(w http.ResponseWriter, r *http.Request) *reqBody {
+	rb := bodyPool.Get().(*reqBody)
+	rb.buf.Reset()
+	rb.lim = io.LimitedReader{R: r.Body, N: telemetry.MaxBodyBytes + 1}
+	if _, err := rb.buf.ReadFrom(&rb.lim); err != nil {
+		rb.release()
+		writeError(w, http.StatusBadRequest, "reading request body: %v", err)
+		return nil
+	}
+	if rb.buf.Len() > telemetry.MaxBodyBytes {
+		rb.release()
+		writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", telemetry.MaxBodyBytes)
+		return nil
+	}
+	return rb
+}
+
+// decodeRequest strictly decodes r's body, read whole through readBody's
+// bound, into v. When that fails it answers the request itself and returns
+// false.
+func decodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
+	rb := readBody(w, r)
+	if rb == nil {
+		return false
+	}
+	defer rb.release()
+	if err := decodeBody(&rb.buf, v); err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return false
+	}
+	return true
+}
+
 // handleCached registers a route whose 200 responses cache. Its wrapper
 // reads the body once, at most telemetry.MaxBodyBytes, and answers a
 // request spelled exactly like one an earlier canonical hit served straight
@@ -277,18 +314,11 @@ func (b *reqBody) release() {
 func (s *Server) handleCached(pattern string, cache *RespCache, h func(http.ResponseWriter, *http.Request, []byte)) {
 	s.pipe.Handle(s.mux, pattern, func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		rb := bodyPool.Get().(*reqBody)
+		rb := readBody(w, r)
+		if rb == nil {
+			return
+		}
 		defer rb.release()
-		rb.buf.Reset()
-		rb.lim = io.LimitedReader{R: r.Body, N: telemetry.MaxBodyBytes + 1}
-		if _, err := rb.buf.ReadFrom(&rb.lim); err != nil {
-			writeError(w, http.StatusBadRequest, "reading request body: %v", err)
-			return
-		}
-		if rb.buf.Len() > telemetry.MaxBodyBytes {
-			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", telemetry.MaxBodyBytes)
-			return
-		}
 		body := rb.buf.Bytes()
 		stg := telemetry.StagesFromContext(r.Context())
 		if cached, ok := cache.GetExact(body); ok {

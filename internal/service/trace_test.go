@@ -112,10 +112,6 @@ func TestTraceMetricsGauges(t *testing.T) {
 		"numaiod_solver_solves_total",
 		"numaiod_solver_solve_seconds_total",
 		"numaiod_solver_resets_total",
-		"numaiod_solver_incremental_total",
-		"numaiod_solver_full_total",
-		"numaiod_solver_pool_hits_total",
-		"numaiod_solver_pool_misses_total",
 		"numaiod_measure_workers_busy",
 		"numaiod_trace_events",
 	} {

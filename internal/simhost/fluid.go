@@ -54,8 +54,8 @@ type phaseSpan struct {
 	ratesN, utilN, compN int32
 }
 
-// fluidSession is the pooled state behind RunFluid and SteadyRates: one
-// solver with its registered resource table, plus per-run scratch, so
+// fluidSession is the pooled state behind RunFluid and SteadyRates: its
+// own solver with its registered resource table, plus per-run scratch, so
 // steady-state runs stay off the allocator. A session serves one run at a
 // time; runs take one from sessionPool and put it back.
 type fluidSession struct {
@@ -86,31 +86,26 @@ type fluidSession struct {
 
 // sessionPool recycles fluid sessions, keeping their solvers, registered
 // tables and scratch buffers across runs.
-var sessionPool = sync.Pool{New: func() any { return &fluidSession{} }}
+var sessionPool = sync.Pool{New: func() any { return &fluidSession{s: fabric.NewSolver()} }}
 
 // acquireSession takes a pooled session whose solver holds exactly the
-// given resource table, registering the table only when it differs from
-// the one the session last held. Return the session to sessionPool.
+// given resource table, clearing the solver and registering the table only
+// when it differs from the one the session last held. Return the session
+// to sessionPool.
 func acquireSession(resources []fabric.Resource) (*fluidSession, error) {
 	fs := sessionPool.Get().(*fluidSession)
 	if resourcesMatch(fs.resSnap, resources) {
 		return fs, nil
 	}
-	if fs.s != nil {
-		fabric.ReleaseSolver(fs.s)
-		fs.s = nil
-	}
-	s := fabric.AcquireSolver()
+	fs.s.Clear()
+	fs.resSnap = fs.resSnap[:0]
 	for _, r := range resources {
-		if err := s.SetResource(r); err != nil {
-			fabric.ReleaseSolver(s)
-			fs.resSnap = fs.resSnap[:0]
+		if err := fs.s.SetResource(r); err != nil {
 			sessionPool.Put(fs)
 			return nil, err
 		}
 	}
-	fs.s = s
-	fs.resSnap = append(fs.resSnap[:0], resources...)
+	fs.resSnap = append(fs.resSnap, resources...)
 	return fs, nil
 }
 
@@ -169,11 +164,10 @@ func (fs *fluidSession) register(transfers []Transfer) error {
 // callers pass nil, 0. Tracing shapes no results.
 //
 // The solver is built once — resources registered and flows added in sorted
-// ID order — and completed flows are removed between phases; the solver
-// re-levels only the components those removals touched. Ordered removal
-// keeps the remaining flows in sorted order, so every phase solves the
-// exact same problem (same float accumulation order) a per-phase rebuild
-// would.
+// ID order — and completed flows are removed between phases. Ordered
+// removal keeps the remaining flows in sorted order, so every phase solves
+// the exact same problem (same float accumulation order) a per-phase
+// rebuild would.
 func RunFluid(resources []fabric.Resource, transfers []Transfer, tr *telemetry.Tracer, tid int) (*SessionResult, error) {
 	n := len(transfers)
 	if n == 0 {

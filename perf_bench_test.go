@@ -208,81 +208,3 @@ func BenchmarkSolver(b *testing.B) {
 		}
 	})
 }
-
-// BenchmarkSolverIncremental measures the dirty-set re-solve against the
-// full re-level on a converged allocation. The workload is 8 disjoint
-// components (eight node-local copy streams per DL585G7 node) whose
-// staggered demand caps freeze one tier per water-filling round; each
-// benchmark round removes and re-adds one node's stream, dirtying exactly
-// one component. "incremental" re-levels just that component; "full" calls
-// Invalidate first, forcing every component through the multi-round
-// water-filling pass — the cost every phase paid before the solver kept
-// converged state.
-func BenchmarkSolverIncremental(b *testing.B) {
-	m := topology.DL585G7()
-	setup := func(b *testing.B) (*fabric.Solver, fabric.Flow) {
-		s := fabric.NewSolver()
-		for _, r := range fabric.MachineResources(m) {
-			if err := s.SetResource(r); err != nil {
-				b.Fatal(err)
-			}
-		}
-		var victim fabric.Flow
-		for n := topology.NodeID(0); n < 8; n++ {
-			usages, err := fabric.CopyFlowUsages(m, n, n)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for k := 0; k < 8; k++ {
-				f := fabric.Flow{ID: fmt.Sprintf("f%d-%d", int(n), k), Usages: usages}
-				if k < 7 {
-					// Distinct demand tiers: one freeze round each.
-					f.Demand = units.Bandwidth(0.2*float64(k+1)) * units.Gbps
-				}
-				if err := s.AddFlow(f); err != nil {
-					b.Fatal(err)
-				}
-				if n == 0 && k == 0 {
-					victim = f
-				}
-			}
-		}
-		if _, err := s.Solve(); err != nil {
-			b.Fatal(err)
-		}
-		return s, victim
-	}
-	// churn removes the victim from index *at and re-adds it, which puts it
-	// last: *at is 0 before the first churn and NumFlows()-1 after.
-	churn := func(b *testing.B, s *fabric.Solver, victim fabric.Flow, at *int, full bool) {
-		s.RemoveFlowAt(*at)
-		if err := s.AddFlow(victim); err != nil {
-			b.Fatal(err)
-		}
-		*at = s.NumFlows() - 1
-		if full {
-			s.Invalidate()
-		}
-		if _, err := s.Solve(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.Run("incremental", func(b *testing.B) {
-		s, victim := setup(b)
-		at := 0
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			churn(b, s, victim, &at, false)
-		}
-	})
-	b.Run("full", func(b *testing.B) {
-		s, victim := setup(b)
-		at := 0
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			churn(b, s, victim, &at, true)
-		}
-	})
-}
