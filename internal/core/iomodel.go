@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"numaio/internal/device"
+	"numaio/internal/fanout"
 	"numaio/internal/faults"
 	"numaio/internal/fio"
 	"numaio/internal/numa"
@@ -163,8 +164,8 @@ type Config struct {
 	Sigma float64
 	// Parallelism bounds the number of measurement workers. The
 	// (node, repeat) cells of Characterize — and the (target, mode) sweeps
-	// of CharacterizeAll — are independent, so they fan out over a worker
-	// pool of this width; 0 or 1 runs serially. Measured values are
+	// of CharacterizeAll — are independent, so they fan out over this many
+	// workers (internal/fanout); 0 or 1 runs serially. Measured values are
 	// identical at any setting: jitter is keyed by job name, so scheduling
 	// order cannot change a cell's value, and results are assembled in
 	// deterministic node order. Parallelism therefore tunes wall time only.
@@ -283,8 +284,8 @@ type Characterizer struct {
 	// worker. Each runner owns a private numa.System over the shared machine:
 	// measured values never read host allocator state (memcpy buffer
 	// placement is explicit), and private hosts mean parallel workers never
-	// serialize on one allocator mutex. A worker takes a runner once per
-	// sweep, so the freelist mutex is off the per-cell path.
+	// serialize on one allocator mutex. A runner is taken once per claimed
+	// range of cells, so the freelist mutex is off the per-cell path.
 	mu   sync.Mutex
 	idle []*fio.Runner
 
@@ -444,41 +445,28 @@ func (c *Characterizer) putRunner(runner *fio.Runner) {
 	c.mu.Unlock()
 }
 
-// workers clamps the configured parallelism to the number of independent
-// work items.
-func (c *Characterizer) workers(items int) int {
-	p := c.cfg.Parallelism
-	if p < 1 {
-		p = 1
-	}
-	if p > items {
-		p = items
-	}
-	return p
-}
-
 // Characterize runs Algorithm 1 for one target node and mode and returns
 // the classified model. With Config.Parallelism > 1 the (node, repeat)
 // measurement cells run concurrently, and with Config.Base only the cells a
 // machine change can reach are measured; the model is identical either way.
 func (c *Characterizer) Characterize(target topology.NodeID, mode Mode) (*Model, error) {
-	return c.characterize(target, mode, -1, 0)
+	return c.CharacterizeOn(target, mode, 0)
 }
 
 // CharacterizeOn is Characterize with the sweep's spans recorded on the
 // given trace track. Callers that fan whole sweeps out over their own
-// worker pools (the scenario grid runner) pass each worker's track so
+// workers (the scenario grid runner) pass each worker's track so
 // concurrent sweeps nest cleanly in the trace; the model is identical to
 // Characterize's. Without a Config.Tracer the track is irrelevant.
 func (c *Characterizer) CharacterizeOn(target topology.NodeID, mode Mode, track int) (*Model, error) {
-	return c.characterize(target, mode, -1, track)
+	return c.characterize(target, mode, c.cfg.Parallelism, track)
 }
 
-// characterize is Characterize with an explicit worker budget and trace
-// track; budget < 0 means use the configured parallelism. CharacterizeAll
-// passes 1 so that fanning out over (target, mode) pairs does not multiply
-// the pool width, and gives each sweep its worker's track.
-func (c *Characterizer) characterize(target topology.NodeID, mode Mode, budget, tid int) (*Model, error) {
+// characterize is Characterize with an explicit cell worker count and trace
+// track. CharacterizeAll passes one worker, so that fanning out over
+// (target, mode) pairs does not multiply the worker count, and gives each
+// sweep its worker's track.
+func (c *Characterizer) characterize(target topology.NodeID, mode Mode, workers, tid int) (*Model, error) {
 	// Span construction (name formatting, attr slice) is skipped outright
 	// without a tracer — this sits on the sweep's hot path. All span methods
 	// are nil-safe, so the untraced flow below is unchanged.
@@ -511,28 +499,25 @@ func (c *Characterizer) characterize(target topology.NodeID, mode Mode, budget, 
 		}
 		sweep.SetAttr(telemetry.Int("reused", len(nodes)-len(rows)))
 	}
-	var vals [][]float64
+	var vals []float64
 	var stats cellStats
 	if len(rows) > 0 {
-		if budget < 0 {
-			budget = c.workers(len(rows) * c.cfg.Repeats)
-		}
 		var err error
-		vals, stats, err = c.measureCells(target, mode, threads, nodes, rows, budget, tid)
-		if err != nil {
+		if vals, stats, err = c.measureCells(target, mode, threads, nodes, rows, workers, tid); err != nil {
 			return nil, err
 		}
 	}
 	model := &Model{Machine: m.Name, Target: target, Mode: mode}
 	model.Samples = make([]Sample, 0, len(nodes))
 	totalOutliers := 0
+	reps := c.cfg.Repeats
 	k := 0 // the next measured row
 	for i, n := range nodes {
 		if k == len(rows) || rows[k] != i {
 			model.Samples = append(model.Samples, base.Samples[i])
 			continue
 		}
-		row := vals[k]
+		row := vals[k*reps : (k+1)*reps]
 		k++
 		kept, rejected := row, 0
 		if c.cfg.OutlierMAD > 0 {
@@ -632,129 +617,53 @@ func (c *Characterizer) cellNames(target topology.NodeID, mode Mode, nodes []top
 
 // measureCells runs the (node, repeat) measurement cells of one sweep for
 // the nodes at the given rows (indices into nodes, ascending) and returns
-// vals[k][rep] for rows[k] plus the summed resilience stats. A cell keeps
-// the job name of its place in the full sweep, so its value does not
-// depend on which rows are measured. Cells are independent, so with
-// workers > 1 they are distributed over a bounded pool, one fio.Runner per
-// worker: workers claim contiguous index ranges off an atomic counter — no
-// channel send per cell — and the result matrix (and the per-cell stats it
-// sums) is indexed, not appended, so scheduling order cannot change the
-// assembled model.
-func (c *Characterizer) measureCells(target topology.NodeID, mode Mode, threads int, nodes []topology.NodeID, rows []int, workers, tid int) ([][]float64, cellStats, error) {
+// vals[k*Repeats+rep] for rows[k] plus the summed resilience stats. A cell
+// keeps the job name of its place in the full sweep, so its value does not
+// depend on which rows are measured. Cells are independent, so they fan out
+// over the given number of workers (internal/fanout), with one fio.Runner
+// per claimed range; values and per-cell stats are indexed, not appended,
+// so scheduling order cannot change the assembled model.
+func (c *Characterizer) measureCells(target topology.NodeID, mode Mode, threads int, nodes []topology.NodeID, rows []int, workers, tid int) ([]float64, cellStats, error) {
 	reps := c.cfg.Repeats
-	flat := make([]float64, len(rows)*reps)
-	vals := make([][]float64, len(rows))
-	for k := range vals {
-		vals[k] = flat[k*reps : (k+1)*reps : (k+1)*reps]
-	}
-	total := len(rows) * reps
-	perCell := make([]cellStats, total)
+	vals := make([]float64, len(rows)*reps)
+	perCell := make([]cellStats, len(vals))
 	names := c.cellNames(target, mode, nodes, reps)
-	var sum cellStats
 	// The busy-worker gauge is always maintained — two plain atomic adds
 	// per cell — so /metrics reads true occupancy whether or not a trace
-	// is running. Only the trace counter series (Sprintf + event append)
-	// is gated on an active tracer.
-	traced := c.cfg.Tracer != nil
-
-	if workers <= 1 {
-		runner, err := c.getRunner(tid)
+	// is running. The trace counter series built on it (a Sprintf and an
+	// event append per sample) needs an active tracer, and is kept to
+	// parallel runs so serial traces stay byte-deterministic.
+	series := c.cfg.Tracer != nil && min(workers, len(vals)) > 1
+	err := fanout.Run(len(vals), workers, tid, func(track, lo, hi int) error {
+		runner, err := c.getRunner(track)
 		if err != nil {
-			return nil, sum, err
+			return err
 		}
 		defer c.putRunner(runner)
 		sc := c.newScratch(target, threads)
-		for k, i := range rows {
-			for rep := 0; rep < reps; rep++ {
-				activeWorkers.Add(1)
-				v, st, err := c.measureCell(runner, sc, names[i*reps+rep], target, nodes[i], mode, rep, tid)
-				activeWorkers.Add(-1)
-				if err != nil {
-					return nil, sum, err
-				}
-				vals[k][rep] = v
-				perCell[k*reps+rep] = st
+		for idx := lo; idx < hi; idx++ {
+			i, rep := rows[idx/reps], idx%reps
+			busy := activeWorkers.Add(1)
+			if series {
+				c.cfg.Tracer.Count("measure-workers-busy", float64(busy))
 			}
-		}
-		for _, st := range perCell {
-			sum.add(st)
-		}
-		return vals, sum, nil
-	}
-
-	// Workers grab chunkSize cells at a time: big enough that claiming is a
-	// handful of atomic adds per sweep, small enough (4 chunks per worker)
-	// that an unlucky worker cannot strand a long tail.
-	chunk := int64(total / (workers * 4))
-	if chunk < 1 {
-		chunk = 1
-	}
-	var next atomic.Int64
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-		failed.Store(true)
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(wtid int) {
-			defer wg.Done()
-			runner, err := c.getRunner(wtid)
+			v, st, err := c.measureCell(runner, sc, names[i*reps+rep], target, nodes[i], mode, rep, track)
+			busy = activeWorkers.Add(-1)
+			if series {
+				c.cfg.Tracer.Count("measure-workers-busy", float64(busy))
+			}
 			if err != nil {
-				fail(err)
-				return
+				return err
 			}
-			defer c.putRunner(runner)
-			sc := c.newScratch(target, threads)
-			for {
-				end := next.Add(chunk)
-				start := end - chunk
-				if start >= int64(total) {
-					return
-				}
-				if end > int64(total) {
-					end = int64(total)
-				}
-				for idx := start; idx < end; idx++ {
-					if failed.Load() {
-						return
-					}
-					k, rep := int(idx)/reps, int(idx)%reps
-					i := rows[k]
-					busy := activeWorkers.Add(1)
-					if traced {
-						// Worker-pool occupancy, sampled onto the trace as a
-						// counter series (parallel paths only, so serial traces
-						// stay byte-deterministic).
-						c.cfg.Tracer.Count("measure-workers-busy", float64(busy))
-					}
-					v, st, err := c.measureCell(runner, sc, names[i*reps+rep], target, nodes[i], mode, rep, wtid)
-					busy = activeWorkers.Add(-1)
-					if traced {
-						c.cfg.Tracer.Count("measure-workers-busy", float64(busy))
-					}
-					if err != nil {
-						fail(err)
-						return
-					}
-					vals[k][rep] = v
-					perCell[idx] = st
-				}
-			}
-		}(w + 1)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, sum, firstErr
+			vals[idx], perCell[idx] = v, st
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, cellStats{}, err
 	}
 	// Summed in index order, so the totals are schedule-independent.
+	var sum cellStats
 	for _, st := range perCell {
 		sum.add(st)
 	}

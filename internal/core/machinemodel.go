@@ -4,9 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sync"
-	"sync/atomic"
 
+	"numaio/internal/fanout"
 	"numaio/internal/topology"
 )
 
@@ -24,8 +23,9 @@ type MachineModel struct {
 
 // CharacterizeAll runs Algorithm 1 for every node of the machine in both
 // modes. With Config.Parallelism > 1 the (target, mode) sweeps fan out over
-// a worker pool of that width — each sweep then measures its cells serially,
-// so total concurrency stays bounded by Parallelism — and the models are
+// that many workers (internal/fanout) — each sweep then measures its cells
+// serially on its worker's track, so total concurrency stays bounded by
+// Parallelism and sweep spans enclose their cells — and the models are
 // assembled in the same (target, mode) order as the serial run.
 func (c *Characterizer) CharacterizeAll() (*MachineModel, error) {
 	m := c.sys.Machine()
@@ -36,64 +36,24 @@ func (c *Characterizer) CharacterizeAll() (*MachineModel, error) {
 	if c.fpErr != nil {
 		return nil, c.fpErr
 	}
-	out := &MachineModel{Machine: m.Name, Fingerprint: c.fp}
-
 	modes := []Mode{ModeWrite, ModeRead}
 	targets := m.NodeIDs()
-	pairs := len(targets) * len(modes)
-	workers := c.workers(pairs)
-	out.Models = make([]*Model, pairs)
-
-	if workers <= 1 {
-		for ti, target := range targets {
-			for mi, mode := range modes {
-				model, err := c.Characterize(target, mode)
-				if err != nil {
-					return nil, fmt.Errorf("core: characterizing node %d (%v): %w",
-						int(target), mode, err)
-				}
-				out.Models[ti*len(modes)+mi] = model
+	models := make([]*Model, len(targets)*len(modes))
+	err := fanout.Run(len(models), c.cfg.Parallelism, 0, func(track, lo, hi int) error {
+		for idx := lo; idx < hi; idx++ {
+			target, mode := targets[idx/len(modes)], modes[idx%len(modes)]
+			model, err := c.characterize(target, mode, 1, track)
+			if err != nil {
+				return fmt.Errorf("core: characterizing node %d (%v): %w", int(target), mode, err)
 			}
+			models[idx] = model
 		}
-		return out, nil
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	// Workers claim (target, mode) pairs off an atomic counter — a sweep is
-	// long enough that one claim per sweep is the whole dispatch cost — and
-	// write each model at its pair index, so assembly order matches serial.
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(wtid int) {
-			defer wg.Done()
-			for {
-				idx := int(next.Add(1)) - 1
-				if idx >= pairs {
-					return
-				}
-				target, mode := targets[idx/len(modes)], modes[idx%len(modes)]
-				model, err := c.characterize(target, mode, 1, wtid)
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("core: characterizing node %d (%v): %w",
-							int(target), mode, err)
-					}
-					mu.Unlock()
-					continue
-				}
-				out.Models[idx] = model
-			}
-		}(w + 1)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return out, nil
+	return &MachineModel{Machine: m.Name, Fingerprint: c.fp, Models: models}, nil
 }
 
 // ModelFor returns the model of one target and direction.

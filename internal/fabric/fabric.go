@@ -235,6 +235,10 @@ func (s *Solver) AddFlow(f Flow) error {
 		return fmt.Errorf("fabric: flow with empty ID")
 	}
 	usages := s.spareUsages()
+	if usages == nil {
+		// Nothing parked to reuse: allocate once, not once per append.
+		usages = make([]indexedUsage, 0, len(f.Usages))
+	}
 	for _, u := range f.Usages {
 		if u.Weight <= 0 {
 			return fmt.Errorf("fabric: flow %q: nonpositive weight %v on %q", f.ID, u.Weight, u.Resource)
@@ -272,7 +276,7 @@ func (s *Solver) AddFlow(f Flow) error {
 // the solver for a fresh round over the same fabric. The usage slices of
 // the dropped flows stay parked in the backing array for reuse.
 func (s *Solver) Reset() {
-	statResets.Add(1)
+	statResets.Inc()
 	s.flows = s.flows[:0]
 }
 

@@ -14,10 +14,13 @@
 package fio
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 
 	"numaio/internal/device"
 	"numaio/internal/fabric"
@@ -247,7 +250,11 @@ func (r *Runner) Run(jobs []Job) (*Report, error) {
 			rep.Makespan = ir.Duration
 		}
 	}
-	sortInstances(rep.Instances)
+	// (Job, Instance) pairs are unique (a repeat fails as a duplicate
+	// transfer ID), so the unstable sort has one answer.
+	slices.SortFunc(rep.Instances, func(a, b InstanceResult) int {
+		return cmp.Or(strings.Compare(a.Job, b.Job), cmp.Compare(a.Instance, b.Instance))
+	})
 	return rep, nil
 }
 
@@ -425,18 +432,6 @@ type nameKey struct {
 
 type instNames struct {
 	ids, jitterKeys []string
-}
-
-// sortInstances orders results by (Job, Instance) with an insertion sort:
-// expansion order is already nearly sorted, and sort.Slice's reflection
-// swapper allocates on every call.
-func sortInstances(s []InstanceResult) {
-	for i := 1; i < len(s); i++ {
-		for k := i; k > 0 && (s[k].Job < s[k-1].Job ||
-			(s[k].Job == s[k-1].Job && s[k].Instance < s[k-1].Instance)); k-- {
-			s[k], s[k-1] = s[k-1], s[k]
-		}
-	}
 }
 
 // effectiveSigma grows the reporting noise once streams oversubscribe the

@@ -2,10 +2,10 @@ package scenario
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"numaio/internal/core"
+	"numaio/internal/fanout"
 	"numaio/internal/numa"
 	"numaio/internal/report"
 	"numaio/internal/resilience"
@@ -84,8 +84,8 @@ func (r *Runner) now() time.Time {
 	return time.Now()
 }
 
-// RunAll executes every case of every suite over one bounded worker pool
-// and returns per-suite results in suite order.
+// RunAll executes every case of every suite over at most Parallelism
+// workers (internal/fanout) and returns per-suite results in suite order.
 func (r *Runner) RunAll(suites []*Suite) []*SuiteResult {
 	results := make([]*SuiteResult, len(suites))
 	type cell struct{ si, ci int }
@@ -96,38 +96,13 @@ func (r *Runner) RunAll(suites []*Suite) []*SuiteResult {
 			cells = append(cells, cell{si, ci})
 		}
 	}
-
-	workers := r.Parallelism
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-
-	if workers <= 1 {
-		for _, c := range cells {
-			results[c.si].Cases[c.ci] = r.runCase(suites[c.si], &suites[c.si].Cases[c.ci], 0)
+	// A case records its failures in its result, so no range ever errors.
+	_ = fanout.Run(len(cells), r.Parallelism, 0, func(track, lo, hi int) error {
+		for _, c := range cells[lo:hi] {
+			results[c.si].Cases[c.ci] = r.runCase(suites[c.si], &suites[c.si].Cases[c.ci], track)
 		}
-	} else {
-		jobs := make(chan cell)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(wtid int) {
-				defer wg.Done()
-				for c := range jobs {
-					results[c.si].Cases[c.ci] = r.runCase(suites[c.si], &suites[c.si].Cases[c.ci], wtid)
-				}
-			}(w + 1)
-		}
-		for _, c := range cells {
-			jobs <- c
-		}
-		close(jobs)
-		wg.Wait()
-	}
-
+		return nil
+	})
 	for _, sr := range results {
 		for i := range sr.Cases {
 			sr.Duration += sr.Cases[i].Duration

@@ -622,7 +622,7 @@ func TestEstimateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 200 {
-		t.Errorf("16-task tcp_send estimate: %v allocs/op, want <= 200", allocs)
+	if allocs > 150 {
+		t.Errorf("16-task tcp_send estimate: %v allocs/op, want <= 150", allocs)
 	}
 }

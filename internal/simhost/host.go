@@ -11,6 +11,7 @@ package simhost
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -101,34 +102,24 @@ func (b *Buffer) HomeNode() topology.NodeID {
 // host ("numactl --hardware" shows 1.5 GB free, Sec. IV-A).
 const DefaultOSReservation = units.Size(2.5 * float64(units.GiB))
 
-// denseSlotLimit bounds the node-ID range covered by the dense slot table;
-// machines with IDs outside [0, denseSlotLimit) fall back to the sparse map.
-// Every shipped profile (and any sysfs-discovered host) is well inside it.
-const denseSlotLimit = 1 << 16
-
 // maxPooledBuffers caps the Host's buffer freelist so a burst of
 // allocations cannot pin memory forever.
 const maxPooledBuffers = 256
 
 // Host is a runnable simulated NUMA host. Free-memory and numastat state
-// are dense position-indexed slices (node ID → position via the slot
-// table), not maps: the allocator sits on the characterization sweep's
-// per-cell path, where map overhead and per-node pointer cells used to
-// dominate the allocation profile.
+// are dense position-indexed slices (node ID → position by binary search
+// over the sorted IDs), not maps: the allocator sits on the
+// characterization sweep's per-cell path, where map overhead and per-node
+// pointer cells used to dominate the allocation profile.
 type Host struct {
 	M *topology.Machine
 
 	mu sync.Mutex
 	// ids is the machine's node IDs in ascending order; free and stats are
 	// parallel to it.
-	ids   []topology.NodeID
-	free  []units.Size
-	stats []NodeStats
-	// slot maps a node ID to its position in ids/free/stats (-1 = unknown);
-	// wide covers IDs outside the dense range, and is nil for every normal
-	// machine.
-	slot   []int32
-	wide   map[topology.NodeID]int32
+	ids    []topology.NodeID
+	free   []units.Size
+	stats  []NodeStats
 	nextID int
 	// bufPool recycles Buffers (and their Pages maps) released by Free, so
 	// the alloc/free cycle of every measurement instance stays off the Go
@@ -164,29 +155,7 @@ func NewHost(m *topology.Machine, opts ...Option) (*Host, error) {
 		free:  make([]units.Size, len(ids)),
 		stats: make([]NodeStats, len(ids)),
 	}
-	maxID := int32(-1)
-	for _, id := range ids {
-		if id >= 0 && int(id) < denseSlotLimit {
-			if int32(id) > maxID {
-				maxID = int32(id)
-			}
-		}
-	}
-	if maxID >= 0 {
-		h.slot = make([]int32, maxID+1)
-		for i := range h.slot {
-			h.slot[i] = -1
-		}
-	}
 	for pos, id := range ids {
-		if id >= 0 && int(id) < len(h.slot) {
-			h.slot[id] = int32(pos)
-		} else {
-			if h.wide == nil {
-				h.wide = make(map[topology.NodeID]int32)
-			}
-			h.wide[id] = int32(pos)
-		}
 		h.free[pos] = m.MustNode(id).Memory
 	}
 	// The OS boots on node 0 (or the lowest node).
@@ -201,11 +170,8 @@ func NewHost(m *topology.Machine, opts ...Option) (*Host, error) {
 // pos returns the dense position of a node ID, or -1 when the machine has
 // no such node.
 func (h *Host) pos(n topology.NodeID) int32 {
-	if n >= 0 && int(n) < len(h.slot) {
-		return h.slot[n]
-	}
-	if p, ok := h.wide[n]; ok {
-		return p
+	if p, ok := slices.BinarySearch(h.ids, n); ok {
+		return int32(p)
 	}
 	return -1
 }

@@ -297,6 +297,82 @@ func TestStatsUnknownNode(t *testing.T) {
 	}
 }
 
+// TestSparseNodeIDs runs every allocation policy on a machine whose node
+// IDs are negative, small and beyond 1<<16, so a host that looks nodes up
+// by ID must handle all three.
+func TestSparseNodeIDs(t *testing.T) {
+	node := func(id topology.NodeID, pkg int) topology.Node {
+		return topology.Node{ID: id, Package: pkg, Cores: 2, Memory: 4 * units.GiB, MemBandwidth: 10 * units.Gbps}
+	}
+	m := topology.New("sparse-ids", []topology.Node{node(70000, 2), node(-2, 0), node(5, 1)})
+	m.AddDuplexLink("node-2", "node5", topology.LinkHT, 16, 10*units.Gbps, 0)
+	m.AddDuplexLink("node5", "node70000", topology.LinkHT, 16, 10*units.Gbps, 0)
+	h, err := NewHost(m, WithOSReservation(units.GiB))
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc := func(req AllocRequest, home topology.NodeID) *Buffer {
+		t.Helper()
+		req.Size = units.GiB * req.Size
+		b, err := h.Alloc(req)
+		if err != nil {
+			t.Fatalf("%v alloc: %v", req.Policy, err)
+		}
+		if got := b.HomeNode(); got != home {
+			t.Errorf("%v alloc landed on node %d, want %d", req.Policy, got, home)
+		}
+		return b
+	}
+	// The OS reservation lands on the lowest node, -2 (3 GiB free).
+	bufs := []*Buffer{
+		alloc(AllocRequest{Size: 1, Policy: PolicyBind, Target: 70000, TaskNode: -2}, 70000),
+		alloc(AllocRequest{Size: 1, Policy: PolicyPreferred, Target: 5, TaskNode: 5}, 5),
+		alloc(AllocRequest{Size: 2, Policy: PolicyLocalPreferred, TaskNode: -2}, -2),
+		// Node -2 has 1 GiB left: fall back to the emptiest node, where
+		// nodes 5 and 70000 tie at 3 GiB and the lower ID wins.
+		alloc(AllocRequest{Size: 2, Policy: PolicyLocalPreferred, TaskNode: -2}, 5),
+		alloc(AllocRequest{Size: 3, Policy: PolicyInterleave, TaskNode: 70000}, -2),
+	}
+	if got := bufs[4].Pages; len(got) != 3 || got[-2] != units.GiB || got[5] != units.GiB || got[70000] != units.GiB {
+		t.Errorf("interleave pages = %v, want 1 GiB on each node", got)
+	}
+	if _, err := h.Alloc(AllocRequest{Size: units.GiB, Policy: PolicyBind, Target: -2, TaskNode: -2}); err == nil {
+		t.Error("bind on the full node -2 should fail")
+	}
+	if _, err := h.Alloc(AllocRequest{Size: units.GiB, Policy: PolicyBind, Target: 0, TaskNode: -2}); err == nil {
+		t.Error("bind on unknown node 0 should fail")
+	}
+	if _, err := h.Alloc(AllocRequest{Size: units.GiB, Policy: PolicyInterleave, TaskNode: 5, InterleaveNodes: []topology.NodeID{5, 65536}}); err == nil {
+		t.Error("interleave over unknown node 65536 should fail")
+	}
+	for n, want := range map[topology.NodeID]units.Size{-2: 0, 5: 0, 70000: 2 * units.GiB, 0: 0} {
+		if got := h.FreeMem(n); got != want {
+			t.Errorf("node %d free = %v, want %v", n, got, want)
+		}
+	}
+	for _, b := range bufs {
+		if err := h.Free(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for n, want := range map[topology.NodeID]units.Size{-2: 3 * units.GiB, 5: 4 * units.GiB, 70000: 4 * units.GiB} {
+		if got := h.FreeMem(n); got != want {
+			t.Errorf("node %d free after Free = %v, want %v", n, got, want)
+		}
+	}
+	for n, want := range map[topology.NodeID]NodeStats{
+		-2:    {NumaHit: 2, NumaForeign: 1, InterleaveHit: 1, LocalNode: 1, OtherNode: 1},
+		5:     {NumaHit: 2, NumaMiss: 1, InterleaveHit: 1, LocalNode: 1, OtherNode: 2},
+		70000: {NumaHit: 2, InterleaveHit: 1, LocalNode: 1, OtherNode: 1},
+		0:     {},
+		65536: {},
+	} {
+		if got := h.Stats(n); got != want {
+			t.Errorf("Stats(%d) = %+v, want %+v", n, got, want)
+		}
+	}
+}
+
 func TestRunFluidSingle(t *testing.T) {
 	res := []fabric.Resource{{ID: "l", Capacity: 8 * units.Gbps}}
 	out, err := RunFluid(res, []Transfer{{
