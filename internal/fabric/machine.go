@@ -38,12 +38,20 @@ func CopyFlowUsages(m *topology.Machine, src, dst topology.NodeID) ([]Usage, err
 	if err != nil {
 		return nil, err
 	}
-	usages := PathUsages(route, 1)
-	usages = append(usages,
+	return CopyUsages(route, src, dst), nil
+}
+
+// CopyUsages is CopyFlowUsages over a src→dst route the caller already
+// derived.
+func CopyUsages(route []int, src, dst topology.NodeID) []Usage {
+	usages := make([]Usage, 0, len(route)+2)
+	for _, li := range route {
+		usages = append(usages, Usage{Resource: LinkResource(li), Weight: 1})
+	}
+	return append(usages,
 		Usage{Resource: MemResource(src), Weight: 1},
 		Usage{Resource: MemResource(dst), Weight: 1},
 	)
-	return usages, nil
 }
 
 // FillFlowUsages returns the usages of a write-only PIO stream (memset):

@@ -582,15 +582,11 @@ func (r *Runner) buildTransfer(in *instance) (simhost.Transfer, error) {
 		key := copyKey{src: *j.SrcNode, dst: *j.DstNode}
 		ce, ok := r.copyCache[key]
 		if !ok {
-			usages, err := fabric.CopyFlowUsages(m, key.src, key.dst)
-			if err != nil {
-				return tr, err
-			}
 			route, err := m.RouteNodes(key.src, key.dst)
 			if err != nil {
 				return tr, err
 			}
-			ce = copyEntry{usages: usages, pathLat: m.PathLatency(route)}
+			ce = copyEntry{usages: fabric.CopyUsages(route, key.src, key.dst), pathLat: m.PathLatency(route)}
 			if r.copyCache == nil {
 				r.copyCache = make(map[copyKey]copyEntry)
 			}

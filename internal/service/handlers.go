@@ -166,10 +166,10 @@ type predictResponse struct {
 // modelForRequest resolves the whole-host model behind a request that
 // carries either a cached fingerprint or a machine to (re-)characterize.
 // Looking up the fingerprint, or resolving the machine, is the request's
-// "resolve" stage.
-func (s *Server) modelForRequest(ctx context.Context, fingerprint string, machine json.RawMessage, cfg core.Config) (*core.MachineModel, int, error) {
+// "resolve" stage, which starts at start, the end of the caller's last
+// stage.
+func (s *Server) modelForRequest(ctx context.Context, start time.Time, fingerprint string, machine json.RawMessage, cfg core.Config) (*core.MachineModel, int, error) {
 	stg := telemetry.StagesFromContext(ctx)
-	start := time.Now()
 	if fingerprint != "" {
 		mm, ok := s.cache.FindByFingerprint(fingerprint)
 		stg.Lap("resolve", start)
@@ -268,9 +268,8 @@ func appendMixKey(b *strings.Builder, mix map[string]float64, counts map[string]
 
 // handlePredict serves a predict request whose body handleCached has read
 // and found in no exact-bytes index.
-func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, body []byte) {
+func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, body []byte, start time.Time) {
 	stg := telemetry.StagesFromContext(r.Context())
-	start := time.Now()
 	var req predictRequest
 	if err := decodeBody(bytes.NewReader(body), &req); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
@@ -297,12 +296,12 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, body []by
 	if hit {
 		s.predictCache.Alias(key, body)
 	}
-	stg.Lap("cache", start)
+	start = stg.Lap("cache", start)
 	if hit {
 		writeJSONBytes(w, http.StatusOK, cached)
 		return
 	}
-	mm, status, err := s.modelForRequest(r.Context(), req.Fingerprint, req.Machine, cfg)
+	mm, status, err := s.modelForRequest(r.Context(), start, req.Fingerprint, req.Machine, cfg)
 	if err != nil {
 		writeError(w, status, "%v", err)
 		return
@@ -313,8 +312,8 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, body []by
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	stg.Lap("predict", start)
-	writeJSONCached(w, http.StatusOK, predictResponse{
+	start = stg.Lap("predict", start)
+	writeJSONCached(w, start, http.StatusOK, predictResponse{
 		Fingerprint:   mm.Fingerprint,
 		Target:        req.Target,
 		Mode:          req.Mode,
@@ -365,8 +364,8 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "batch has no items")
 		return
 	}
-	stg.Lap("decode", start)
-	mm, status, err := s.modelForRequest(r.Context(), req.Fingerprint, req.Machine, req.Config.toCore())
+	start = stg.Lap("decode", start)
+	mm, status, err := s.modelForRequest(r.Context(), start, req.Fingerprint, req.Machine, req.Config.toCore())
 	if err != nil {
 		writeError(w, status, "%v", err)
 		return
@@ -490,9 +489,8 @@ func placeCacheKey(req *placeRequest, cfg core.Config) string {
 
 // handlePlace serves a place request whose body handleCached has read and
 // found in no exact-bytes index.
-func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request, body []byte) {
+func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request, body []byte, start time.Time) {
 	stg := telemetry.StagesFromContext(r.Context())
-	start := time.Now()
 	var req placeRequest
 	if err := decodeBody(bytes.NewReader(body), &req); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
@@ -537,8 +535,8 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request, body []byte
 			writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		stg.Lap("predict", start)
-		writeJSONCached(w, http.StatusOK, resp, s.placeCache, key)
+		start = stg.Lap("predict", start)
+		writeJSONCached(w, start, http.StatusOK, resp, s.placeCache, key)
 		return
 	}
 
@@ -583,8 +581,8 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request, body []byte
 		}
 		resp.Results = append(resp.Results, res)
 	}
-	stg.Lap("predict", start)
-	writeJSONCached(w, http.StatusOK, resp, s.placeCache, key)
+	start = stg.Lap("predict", start)
+	writeJSONCached(w, start, http.StatusOK, resp, s.placeCache, key)
 }
 
 // placeCluster handles the replicas > 1 arm: identical hosts sharing the

@@ -43,12 +43,13 @@ func (s *Server) installModel(fp string, mm *core.MachineModel) error {
 }
 
 // handleModelInstall is PUT /v1/models/{fingerprint}: install a model
-// shipped in the request body (the push half of replication).
+// shipped in the request body (the push half of replication). The body is
+// bounded like every other request body: over telemetry.MaxBodyBytes is a
+// 413.
 func (s *Server) handleModelInstall(w http.ResponseWriter, r *http.Request) {
 	fp := r.PathValue("fingerprint")
 	var mm core.MachineModel
-	if err := decodeBody(r.Body, &mm); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	if !decodeRequest(w, r, &mm) {
 		return
 	}
 	if err := s.installModel(fp, &mm); err != nil {
@@ -68,7 +69,8 @@ type modelPullRequest struct {
 
 // handleModelPull is POST /v1/models/pull: fetch the named model from a
 // peer replica's GET /v1/models endpoint and install it (the pull half of
-// replication, driven by the gateway's hot-model tracking).
+// replication, driven by the gateway's hot-model tracking). A peer answer
+// over telemetry.MaxBodyBytes is a 502, like any other bad peer answer.
 func (s *Server) handleModelPull(w http.ResponseWriter, r *http.Request) {
 	var req modelPullRequest
 	if !decodeRequest(w, r, &req) {
@@ -111,8 +113,17 @@ func (s *Server) handleModelPull(w http.ResponseWriter, r *http.Request) {
 			req.Source, resp.StatusCode, strings.TrimSpace(string(body)))
 		return
 	}
+	body, err := io.ReadAll(io.LimitReader(resp.Body, telemetry.MaxBodyBytes+1))
+	if err != nil {
+		writeError(w, http.StatusBadGateway, "reading model from %s: %v", req.Source, err)
+		return
+	}
+	if len(body) > telemetry.MaxBodyBytes {
+		writeError(w, http.StatusBadGateway, "model from %s exceeds %d bytes", req.Source, telemetry.MaxBodyBytes)
+		return
+	}
 	var mm core.MachineModel
-	if err := json.NewDecoder(resp.Body).Decode(&mm); err != nil {
+	if err := json.Unmarshal(body, &mm); err != nil {
 		writeError(w, http.StatusBadGateway, "decoding model from %s: %v", req.Source, err)
 		return
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +14,7 @@ import (
 
 	"numaio/internal/core"
 	"numaio/internal/service"
+	"numaio/internal/telemetry"
 )
 
 // putJSON issues a PUT with a JSON body.
@@ -180,5 +182,93 @@ func TestRequestIDLogging(t *testing.T) {
 	last := lines[len(lines)-1]
 	if strings.Contains(last, "request_id") {
 		t.Errorf("bare request logged a request_id: %s", last)
+	}
+}
+
+// TestModelBodiesBounded: a model over telemetry.MaxBodyBytes is refused
+// both ways it can arrive, and nothing is installed. A pushed body is a
+// 413; a peer's answer to a pull is a 502. Both bodies are a valid model
+// padded with trailing spaces, which an unbounded decode accepts.
+func TestModelBodiesBounded(t *testing.T) {
+	var srcRuns, pushRuns, pullRuns atomic.Int64
+	src := newTestServer(t, &srcRuns)
+	model, fp := characterizedModel(t, src)
+	huge := model + strings.Repeat(" ", telemetry.MaxBodyBytes+1-len(model))
+
+	push := newTestServer(t, &pushRuns)
+	status, body := putJSON(t, push.URL+"/v1/models/"+fp, huge)
+	if status != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized install = %d, want 413 (%.200s)", status, body)
+	}
+
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		io.WriteString(w, huge)
+	}))
+	t.Cleanup(peer.Close)
+	pull := newTestServer(t, &pullRuns)
+	req := fmt.Sprintf(`{"fingerprint": %q, "source": %q}`, fp, peer.URL)
+	status, body = postJSON(t, pull.URL+"/v1/models/pull", req)
+	if status != http.StatusBadGateway {
+		t.Errorf("pull of an oversized model = %d, want 502 (%.200s)", status, body)
+	}
+	if !strings.Contains(string(body), "exceeds") {
+		t.Errorf("pull error body %.200s does not name the bound", body)
+	}
+
+	for _, ts := range []*httptest.Server{push, pull} {
+		if status, _ := getJSON(t, ts.URL+"/v1/models/"+fp); status != http.StatusNotFound {
+			t.Errorf("GET after a refused install = %d, want 404", status)
+		}
+	}
+	if n := pushRuns.Load() + pullRuns.Load(); n != 0 {
+		t.Errorf("replicas ran the characterizer %d times", n)
+	}
+}
+
+// TestLargestModelInstalls: the bound leaves room for real models. A
+// whole-host model of hp-blade32, the largest profile (32 nodes), installs
+// by push and by pull.
+func TestLargestModelInstalls(t *testing.T) {
+	var srcRuns, pushRuns, pullRuns atomic.Int64
+	src := newTestServer(t, &srcRuns)
+	status, body := postJSON(t, src.URL+"/v1/characterize", `{"machine": "hp-blade32", "config": {"repeats": 1, "sigma": -1}}`)
+	if status != http.StatusOK {
+		t.Fatalf("characterize = %d: %.200s", status, body)
+	}
+	var resp struct {
+		Fingerprint string `json:"fingerprint"`
+	}
+	if err := json.Unmarshal(body, &resp); err != nil {
+		t.Fatal(err)
+	}
+	fp := resp.Fingerprint
+	status, model := getJSON(t, src.URL+"/v1/models/"+fp)
+	if status != http.StatusOK {
+		t.Fatalf("model get = %d", status)
+	}
+	// Larger than the pooled body buffer, so the install reads it into a
+	// grown one.
+	if len(model) < 100<<10 {
+		t.Fatalf("hp-blade32 model is %d bytes, want a body over 100 KiB", len(model))
+	}
+	t.Logf("hp-blade32 whole-host model: %d bytes", len(model))
+
+	push := newTestServer(t, &pushRuns)
+	if status, body := putJSON(t, push.URL+"/v1/models/"+fp, string(model)); status != http.StatusOK {
+		t.Errorf("install = %d: %.200s", status, body)
+	}
+	pull := newTestServer(t, &pullRuns)
+	req := fmt.Sprintf(`{"fingerprint": %q, "source": %q}`, fp, src.URL)
+	if status, body := postJSON(t, pull.URL+"/v1/models/pull", req); status != http.StatusOK {
+		t.Errorf("pull = %d: %.200s", status, body)
+	}
+	for _, ts := range []*httptest.Server{push, pull} {
+		if status, got := getJSON(t, ts.URL+"/v1/models/"+fp); status != http.StatusOK || !bytes.Equal(got, model) {
+			t.Errorf("installed model GET = %d, %d bytes; want 200 and the source's %d bytes", status, len(got), len(model))
+		}
+	}
+	if n := pushRuns.Load() + pullRuns.Load(); n != 0 {
+		t.Errorf("replicas ran the characterizer %d times", n)
 	}
 }

@@ -310,8 +310,9 @@ func decodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
 // from cache: before the decode, the canonical key and the request
 // deadline, with the read and the lookup as its only stage, "cache". Any
 // other body goes on to h, under the deadline, which decodes the same
-// bytes; its read and probe are then the start of its "decode" stage.
-func (s *Server) handleCached(pattern string, cache *RespCache, h func(http.ResponseWriter, *http.Request, []byte)) {
+// bytes; its read and probe are then the first lap of its "decode" stage,
+// and h continues that stage from the lap's end, which it is passed.
+func (s *Server) handleCached(pattern string, cache *RespCache, h func(w http.ResponseWriter, r *http.Request, body []byte, start time.Time)) {
 	s.pipe.Handle(s.mux, pattern, func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		rb := readBody(w, r)
@@ -326,10 +327,10 @@ func (s *Server) handleCached(pattern string, cache *RespCache, h func(http.Resp
 			writeJSONBytes(w, http.StatusOK, cached)
 			return
 		}
-		stg.Lap("decode", start)
+		start = stg.Lap("decode", start)
 		r, cancel := s.withDeadline(r)
 		defer cancel()
-		h(w, r, body)
+		h(w, r, body, start)
 	})
 }
 
@@ -602,13 +603,13 @@ func writeJSONBytes(w http.ResponseWriter, status int, body []byte) {
 
 // writeJSONCached renders v once, serves it, and retains the bytes in
 // cache under key when the response is a 200 — the store half of the
-// serving fast lane.
-func writeJSONCached(w http.ResponseWriter, status int, v any, cache *RespCache, key string) {
+// serving fast lane. Its "encode" stage starts at start, the end of the
+// handler's last stage.
+func writeJSONCached(w http.ResponseWriter, start time.Time, status int, v any, cache *RespCache, key string) {
 	if status != http.StatusOK || cache == nil {
 		writeJSON(w, status, v)
 		return
 	}
-	start := time.Now()
 	body, err := encodeJSON(v)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)

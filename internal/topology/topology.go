@@ -11,6 +11,7 @@ package topology
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"numaio/internal/units"
 )
@@ -175,9 +176,25 @@ type Machine struct {
 	devices  []Device
 
 	routes map[routeKey][]int // optional explicit routing table
+
+	// proven remembers a passed route check: the node IDs whose pairwise
+	// routes Validate proved for this machine state. Every edit that can
+	// change a route clears it (see edited), and Clone copies it. It is
+	// atomic because machines shared read-only across goroutines are
+	// validated concurrently.
+	proven atomic.Pointer[routeProof]
 }
 
 type routeKey struct{ from, to string }
+
+// routeProof is one passed route check. It lists the node IDs it covered,
+// in Nodes order, because callers may edit the exported Nodes slice
+// without going through a method.
+type routeProof struct{ nodes []NodeID }
+
+// edited drops the machine's route proof; every edit of vertices, links,
+// capacities or pinned routes calls it.
+func (m *Machine) edited() { m.proven.Store(nil) }
 
 // NodeVertexID returns the routing-graph vertex ID for a NUMA node.
 func NodeVertexID(n NodeID) string { return fmt.Sprintf("node%d", int(n)) }
@@ -205,6 +222,7 @@ func (m *Machine) addVertex(v Vertex) {
 	vv := v
 	m.vertices[v.ID] = &vv
 	m.vorder = append(m.vorder, v.ID)
+	m.edited()
 }
 
 // AddIOHub adds an I/O hub vertex attached to the given node and links it to
@@ -247,8 +265,7 @@ func (m *Machine) AddLink(l Link) {
 	}
 	m.links = append(m.links, l)
 	m.adj[l.From] = append(m.adj[l.From], len(m.links)-1)
-	// Any cached/explicit routes may be stale; callers configure routes
-	// after the graph is complete, so nothing to invalidate here.
+	m.edited()
 }
 
 // AddDuplexLink adds a symmetric pair of directed links.
@@ -272,6 +289,7 @@ func (m *Machine) SetRoute(from, to string, linkIdx []int) error {
 		return err
 	}
 	m.routes[routeKey{from, to}] = append([]int(nil), linkIdx...)
+	m.edited()
 	return nil
 }
 
@@ -329,9 +347,9 @@ func (m *Machine) DeviceByID(id string) (Device, bool) {
 
 // Node returns the node with the given ID.
 func (m *Machine) Node(id NodeID) (Node, bool) {
-	for _, n := range m.Nodes {
-		if n.ID == id {
-			return n, true
+	for i := range m.Nodes {
+		if m.Nodes[i].ID == id {
+			return m.Nodes[i], true
 		}
 	}
 	return Node{}, false
@@ -409,13 +427,21 @@ func (m *Machine) Relation(a, b NodeID) Relationship {
 
 // Validate checks structural consistency: unique node IDs, positive
 // capacities, link endpoints exist, and mutual reachability of all node
-// vertices.
-func (m *Machine) Validate() error {
+// vertices. The pairwise route check behind reachability runs once per
+// machine state: a pass is remembered until the next edit, and Clone
+// copies it, so validating a copy of a validated machine costs only the
+// field checks.
+func (m *Machine) Validate() error { return m.validate(true) }
+
+// validate is Validate. With memo false it runs the route check even when
+// an earlier call proved this state, and records nothing.
+func (m *Machine) validate(memo bool) error {
 	if len(m.Nodes) == 0 {
 		return fmt.Errorf("topology: machine %q has no nodes", m.Name)
 	}
 	seen := make(map[NodeID]bool)
-	for _, n := range m.Nodes {
+	for i := range m.Nodes {
+		n := &m.Nodes[i]
 		if seen[n.ID] {
 			return fmt.Errorf("topology: machine %q: duplicate node %d", m.Name, int(n.ID))
 		}
@@ -438,18 +464,43 @@ func (m *Machine) Validate() error {
 			return fmt.Errorf("topology: link %d (%s->%s): negative latency", i, l.From, l.To)
 		}
 	}
-	for _, a := range m.Nodes {
-		for _, b := range m.Nodes {
-			if a.ID == b.ID {
-				continue
+	if !memo || !m.routesProven() {
+		for i := range m.Nodes {
+			for j := range m.Nodes {
+				a, b := m.Nodes[i].ID, m.Nodes[j].ID
+				if a == b {
+					continue
+				}
+				if _, err := m.Route(NodeVertexID(a), NodeVertexID(b)); err != nil {
+					return fmt.Errorf("topology: machine %q: %v", m.Name, err)
+				}
 			}
-			if _, err := m.Route(NodeVertexID(a.ID), NodeVertexID(b.ID)); err != nil {
-				return fmt.Errorf("topology: machine %q: %v", m.Name, err)
+		}
+		if memo {
+			p := &routeProof{nodes: make([]NodeID, len(m.Nodes))}
+			for i := range m.Nodes {
+				p.nodes[i] = m.Nodes[i].ID
 			}
+			m.proven.Store(p)
 		}
 	}
 	if m.OSMemoryFraction < 0 || m.OSMemoryFraction >= 1 {
 		return fmt.Errorf("topology: machine %q: OSMemoryFraction %v out of [0,1)", m.Name, m.OSMemoryFraction)
 	}
 	return nil
+}
+
+// routesProven reports whether an earlier route check passed on this
+// machine state, over the node IDs Nodes holds now.
+func (m *Machine) routesProven() bool {
+	p := m.proven.Load()
+	if p == nil || len(p.nodes) != len(m.Nodes) {
+		return false
+	}
+	for i := range m.Nodes {
+		if p.nodes[i] != m.Nodes[i].ID {
+			return false
+		}
+	}
+	return true
 }

@@ -35,6 +35,7 @@ func (m *Machine) Clone() *Machine {
 	for k, r := range m.routes {
 		out.routes[k] = append([]int(nil), r...)
 	}
+	out.proven.Store(m.proven.Load())
 	return out
 }
 
@@ -48,6 +49,7 @@ func (m *Machine) SetLinkCapacity(idx int, cap units.Bandwidth) error {
 		return fmt.Errorf("topology: SetLinkCapacity: nonpositive capacity %v", cap)
 	}
 	m.links[idx].Capacity = cap
+	m.edited()
 	return nil
 }
 
@@ -60,6 +62,7 @@ func (m *Machine) ScaleLink(idx int, factor float64) error {
 		return fmt.Errorf("topology: ScaleLink: nonpositive factor %v", factor)
 	}
 	m.links[idx].Capacity = units.Bandwidth(float64(m.links[idx].Capacity) * factor)
+	m.edited()
 	return nil
 }
 

@@ -30,7 +30,8 @@
 #   -n N            pairs (default 10)
 #   -margin M       loss margin, a fraction (default 0.05)
 #   -bench RE       benchmark regexp (default the CharacterizeAll,
-#                   Whatif, RunFluid, Solver and PlaceRequest hot paths)
+#                   Whatif, RunFluid, Solver, PlaceRequest and
+#                   PlaceRequestMiss hot paths)
 #   -workload W     perfbench workload instead of microbenchmarks
 set -eu
 cd "$(dirname "$0")/.."
@@ -38,7 +39,7 @@ repo=$(pwd)
 
 pairs=10
 margin=0.05
-bench='^(BenchmarkCharacterizeAll|BenchmarkWhatif|BenchmarkRunFluid|BenchmarkSolver|BenchmarkPlaceRequest)$'
+bench='^(BenchmarkCharacterizeAll|BenchmarkWhatif|BenchmarkRunFluid|BenchmarkSolver|BenchmarkPlaceRequest|BenchmarkPlaceRequestMiss)$'
 workload=""
 usage() {
     sed -n '2,/^set -eu/p' "$0" | sed '$d; s/^# \{0,1\}//' >&2

@@ -115,18 +115,53 @@ func BenchmarkPredictRequestRespelled(b *testing.B) {
 // predicted, encoded and cached (evicting once the cache is full).
 func BenchmarkPredictRequestMiss(b *testing.B) {
 	h := benchHandlerWith(b, service.Config{Workers: 2, RequestTimeout: 30 * time.Second}, benchPredictBody)
-	const prefix = `{"machine": "dl585g7", "config": {"repeats": 1, "sigma": -1},
- "target": 7, "mode": "write", "counts": {"0": `
+	var body []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		body = predictMissBody(body, i)
+		serve(b, h, "/v1/predict", body)
+	}
+}
+
+// predictMissBody rewrites body into the i-th of a sequence of predictions
+// that never repeats: each sends a new count for node 0.
+func predictMissBody(body []byte, i int) []byte {
+	body = append(body[:0], `{"machine": "dl585g7", "config": {"repeats": 1, "sigma": -1},
+ "target": 7, "mode": "write", "counts": {"0": `...)
+	body = strconv.AppendInt(body, int64(i+1), 10)
+	return append(body, `, "7": 1}}`...)
+}
+
+// serve posts body to h and fails b unless the answer is a 200.
+func serve(b *testing.B, h http.Handler, path string, body []byte) {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		b.Fatalf("%s = %d %s", path, rec.Code, rec.Body.String())
+	}
+}
+
+// BenchmarkPlaceRequestMiss measures a placement no earlier request asked
+// for, with evaluate, at the daemon's default 30 s request deadline: a
+// model-cache hit and a response-cache miss, so the request is decoded,
+// resolved, placed and estimated under all four single-host policies,
+// evaluated by fio, encoded and cached. Every iteration sends a new
+// size_per_task and rotates the target over dl585g7's eight nodes and the
+// task count over 2-8, as the place-evaluate workload does.
+func BenchmarkPlaceRequestMiss(b *testing.B) {
+	h := benchHandlerWith(b, service.Config{Workers: 2, RequestTimeout: 30 * time.Second}, benchPlaceBody)
+	const prefix = `{"machine": "dl585g7", "config": {"repeats": 1, "sigma": -1}, "evaluate": true, "size_per_task": `
 	body := []byte(prefix)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		body = append(strconv.AppendInt(body[:len(prefix)], int64(i+1), 10), `, "7": 1}}`...)
-		rec := httptest.NewRecorder()
-		req := httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(body))
-		h.ServeHTTP(rec, req)
-		if rec.Code != http.StatusOK {
-			b.Fatalf("predict = %d %s", rec.Code, rec.Body.String())
-		}
+		body = strconv.AppendInt(body[:len(prefix)], int64(256+i)<<20, 10)
+		body = append(body, `, "target": `...)
+		body = strconv.AppendInt(body, int64(i%8), 10)
+		body = append(body, `, "tasks": `...)
+		body = strconv.AppendInt(body, int64(2+i%7), 10)
+		body = append(body, '}')
+		serve(b, h, "/v1/place", body)
 	}
 }
