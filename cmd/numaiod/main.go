@@ -25,16 +25,11 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
-	"fmt"
 	"io"
-	"net"
 	"net/http"
 	_ "net/http/pprof" // handlers gated behind the -pprof flag
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"numaio/internal/cli"
@@ -42,9 +37,7 @@ import (
 )
 
 func main() {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	os.Exit(cli.Main("numaiod", run(ctx, os.Args[1:], os.Stdout)))
+	os.Exit(cli.Main("numaiod", run(context.Background(), os.Args[1:], os.Stdout)))
 }
 
 func run(ctx context.Context, args []string, out io.Writer) error {
@@ -109,26 +102,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		FlightDump:         dumpDst,
 	})
 
-	// SIGQUIT dumps the flight recorder to stderr without stopping the
-	// daemon — the "what just happened" lever for a wedged process — under
-	// the same one-per-second limit as the automatic dumps.
-	quitc := make(chan os.Signal, 1)
-	signal.Notify(quitc, syscall.SIGQUIT)
-	defer signal.Stop(quitc)
-	go func() {
-		for range quitc {
-			if err := svc.DumpFlightRecorder(os.Stderr); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-			}
-		}
-	}()
-
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "listening on http://%s\n", ln.Addr())
-
 	handler := svc.Handler()
 	if *pprof {
 		// The pprof handlers self-register on http.DefaultServeMux via the
@@ -141,37 +114,14 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			logger.Info("pprof enabled", "path", "/debug/pprof/")
 		}
 	}
-	srv := &http.Server{Handler: handler}
-	errc := make(chan error, 1)
-	go func() {
-		if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			errc <- err
-		}
-		close(errc)
-	}()
-
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-
-	// Graceful shutdown: stop accepting, finish open requests, then drain
-	// async characterization jobs.
-	if logger != nil {
-		logger.Info("shutting down", "drain_timeout", *drainTimeout)
-	}
-	shutCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	if err := srv.Shutdown(shutCtx); err != nil {
-		return fmt.Errorf("shutdown: %w", err)
-	}
-	if err := svc.Drain(shutCtx); err != nil {
-		return err
-	}
-	if err := <-errc; err != nil {
-		return err
-	}
-	fmt.Fprintln(out, "numaiod: drained, bye")
-	return nil
+	return cli.Serve(ctx, cli.Daemon{
+		Name:            "numaiod",
+		Addr:            *addr,
+		Handler:         handler,
+		Out:             out,
+		Logger:          logger,
+		DumpFlight:      svc.DumpFlightRecorder,
+		ShutdownTimeout: *drainTimeout,
+		Drain:           svc.Drain,
+	})
 }

@@ -30,16 +30,12 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"numaio/internal/cli"
@@ -47,9 +43,7 @@ import (
 )
 
 func main() {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	os.Exit(cli.Main("numaiogw", run(ctx, os.Args[1:], os.Stdout)))
+	os.Exit(cli.Main("numaiogw", run(context.Background(), os.Args[1:], os.Stdout)))
 }
 
 // fleetConfig resolves the membership config from -config or -replicas.
@@ -145,61 +139,22 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return err
 	}
 
-	// SIGQUIT dumps the flight recorder to stderr without stopping the
-	// gateway, under the same one-per-second limit as the automatic dumps.
-	quitc := make(chan os.Signal, 1)
-	signal.Notify(quitc, syscall.SIGQUIT)
-	defer signal.Stop(quitc)
-	go func() {
-		for range quitc {
-			if err := gw.DumpFlightRecorder(os.Stderr); err != nil {
-				fmt.Fprintln(os.Stderr, err)
+	return cli.Serve(ctx, cli.Daemon{
+		Name:       "numaiogw",
+		Addr:       *addr,
+		Handler:    gw.Handler(),
+		Out:        out,
+		Logger:     logger,
+		DumpFlight: gw.DumpFlightRecorder,
+		Ready: func() {
+			if logger != nil {
+				logger.Info("fleet gateway up",
+					"replicas", len(cfg.Replicas),
+					"vnodes", cfg.VNodes,
+					"replication", cfg.Replication)
 			}
-		}
-	}()
-
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "listening on http://%s\n", ln.Addr())
-	if logger != nil {
-		logger.Info("fleet gateway up",
-			"replicas", len(cfg.Replicas),
-			"vnodes", cfg.VNodes,
-			"replication", cfg.Replication)
-	}
-
-	healthCtx, stopHealth := context.WithCancel(ctx)
-	defer stopHealth()
-	go gw.Run(healthCtx)
-
-	srv := &http.Server{Handler: gw.Handler()}
-	errc := make(chan error, 1)
-	go func() {
-		if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			errc <- err
-		}
-		close(errc)
-	}()
-
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-
-	if logger != nil {
-		logger.Info("shutting down")
-	}
-	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(shutCtx); err != nil {
-		return fmt.Errorf("shutdown: %w", err)
-	}
-	if err := <-errc; err != nil {
-		return err
-	}
-	fmt.Fprintln(out, "numaiogw: drained, bye")
-	return nil
+			go gw.Run(ctx)
+		},
+		ShutdownTimeout: 10 * time.Second,
+	})
 }

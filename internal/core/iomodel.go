@@ -94,8 +94,8 @@ type Sample struct {
 	// run-to-run variation behind the ranges the paper's tables report.
 	StdDev units.Bandwidth `json:"stddev_bps,omitempty"`
 	// Outliers counts the repeats the MAD cutoff rejected for this node
-	// (Config.OutlierMAD); omitted when rejection is off or nothing was
-	// rejected.
+	// (faultOutlierMAD, under a fault plan); omitted when rejection is off
+	// or nothing was rejected.
 	Outliers int `json:"outliers,omitempty"`
 }
 
@@ -173,9 +173,10 @@ type Config struct {
 
 	// Faults, when non-nil, runs the sweep under the fault plan: degraded
 	// links, flaky devices, and measurements that fail, hang or report
-	// outliers (internal/faults). Fault decisions are keyed by job name, so
-	// chaos runs are as deterministic — and as Parallelism-independent — as
-	// clean ones.
+	// outliers (internal/faults), and rejects outlier repeats
+	// (faultOutlierMAD). Fault decisions are keyed by job name, so chaos
+	// runs are as deterministic — and as Parallelism-independent — as clean
+	// ones.
 	Faults *faults.Plan
 	// MeasureTimeout bounds one measurement attempt; an attempt the plan
 	// hangs is abandoned (and retried) after this long. 0 means 250ms when
@@ -183,20 +184,10 @@ type Config struct {
 	MeasureTimeout time.Duration
 	// MaxRetries is the retry budget per measurement cell for transient
 	// failures and timeouts; retried attempts are renamed (-a1, -a2, …) so
-	// they deterministically re-roll their fault and jitter draws. 0 means
-	// 5 when Faults is set and no retries otherwise; negative disables.
+	// they deterministically re-roll their fault and jitter draws, after an
+	// exponential backoff from faultRetryBackoff under Faults. 0 means 5
+	// when Faults is set and no retries otherwise; negative disables.
 	MaxRetries int
-	// RetryBackoff is the base of the exponential backoff between retries
-	// (doubling per attempt, capped at 64x). 0 means 1ms when Faults is set
-	// and no waiting otherwise; negative disables.
-	RetryBackoff time.Duration
-	// OutlierMAD rejects a repeat whose modified z-score against the
-	// per-node median — 0.6745*|v-median|/MAD — exceeds this cutoff, and
-	// reports the rejection in the model (Sample.Outliers). 0 means 3.5
-	// when Faults is set and no rejection otherwise; negative disables.
-	// Clean runs leave it off, so previously serialized models are
-	// reproduced byte for byte.
-	OutlierMAD float64
 	// Clock drives retry backoff and measurement timeouts; nil means the
 	// system clock. Tests inject resilience.NewAutoClock so chaos sweeps
 	// run without real sleeps.
@@ -219,6 +210,16 @@ type Config struct {
 	// cache keys. It is ignored under Faults.
 	Base *Base
 }
+
+// Under a fault plan (Config.Faults) a cell's retries back off from
+// faultRetryBackoff, doubling per attempt up to 64x, and a repeat whose
+// modified z-score against the per-node median, 0.6745*|v-median|/MAD,
+// exceeds faultOutlierMAD is rejected and counted (Sample.Outliers). Clean
+// runs do neither, so their models are reproduced byte for byte.
+const (
+	faultRetryBackoff = time.Millisecond
+	faultOutlierMAD   = 3.5
+)
 
 // Base is the machine a characterized machine was derived from, with its
 // whole-host model (Config.Base).
@@ -254,16 +255,6 @@ func (c Config) withDefaults() Config {
 		c.MaxRetries = 5
 	} else if c.MaxRetries < 0 {
 		c.MaxRetries = 0
-	}
-	if c.RetryBackoff == 0 && chaos {
-		c.RetryBackoff = time.Millisecond
-	} else if c.RetryBackoff < 0 {
-		c.RetryBackoff = 0
-	}
-	if c.OutlierMAD == 0 && chaos {
-		c.OutlierMAD = 3.5
-	} else if c.OutlierMAD < 0 {
-		c.OutlierMAD = 0
 	}
 	if c.Clock == nil {
 		c.Clock = resilience.SystemClock{}
@@ -326,8 +317,9 @@ func NewCharacterizer(sys *numa.System, cfg Config) (*Characterizer, error) {
 	for i := range c.allRows {
 		c.allRows[i] = i
 	}
-	c.retry = resilience.RetryPolicy{MaxRetries: cfg.MaxRetries, Base: cfg.RetryBackoff}
+	c.retry = resilience.RetryPolicy{MaxRetries: cfg.MaxRetries}
 	if cfg.Faults != nil {
+		c.retry.Base = faultRetryBackoff
 		inj, err := faults.New(*cfg.Faults)
 		if err != nil {
 			return nil, err
@@ -520,8 +512,8 @@ func (c *Characterizer) characterize(target topology.NodeID, mode Mode, workers,
 		row := vals[k*reps : (k+1)*reps]
 		k++
 		kept, rejected := row, 0
-		if c.cfg.OutlierMAD > 0 {
-			kept, rejected = rejectOutliers(row, c.cfg.OutlierMAD)
+		if c.cfg.Faults != nil {
+			kept, rejected = rejectOutliers(row, faultOutlierMAD)
 			totalOutliers += rejected
 		}
 		if rejected > 0 {

@@ -609,17 +609,12 @@ func (r *Runner) buildTransfer(in *instance) (simhost.Transfer, error) {
 	// page placement, so every leg and controller is charged its share.
 	total := float64(in.buffer.Size)
 	engineWeight := 0.0
-	pageNodes := make([]topology.NodeID, 0, len(in.buffer.Pages))
-	for n := range in.buffer.Pages {
-		pageNodes = append(pageNodes, n)
-	}
-	sort.Slice(pageNodes, func(a, b int) bool { return pageNodes[a] < pageNodes[b] })
-	for _, n := range pageNodes {
-		frac := float64(in.buffer.Pages[n]) / total
+	for _, sh := range in.buffer.Pages {
+		frac := float64(sh.Size) / total
 		if frac <= 0 {
 			continue
 		}
-		dp, err := m.DeviceRoutes(in.devID, n)
+		dp, err := m.DeviceRoutes(in.devID, sh.Node)
 		if err != nil {
 			return tr, err
 		}
@@ -629,14 +624,14 @@ func (r *Runner) buildTransfer(in *instance) (simhost.Transfer, error) {
 		}
 		tr.Usages = append(tr.Usages, fabric.PathUsages(route, frac)...)
 		tr.Usages = append(tr.Usages, fabric.Usage{
-			Resource: fabric.MemResource(n), Weight: frac,
+			Resource: fabric.MemResource(sh.Node), Weight: frac,
 		})
 		in.pathLat += units.Duration(frac * float64(m.PathLatency(route)))
 
 		// DMA engine time, weighted by how expensive this page's class is
 		// to serve (Eq. 1's per-class rates; harmonic mixing under
 		// contention).
-		classRate, err := spec.ClassRate(m, in.devID, n)
+		classRate, err := spec.ClassRate(m, in.devID, sh.Node)
 		if err != nil {
 			return tr, err
 		}

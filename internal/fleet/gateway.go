@@ -25,9 +25,6 @@ import (
 // hops in both sides' structured logs.
 const RequestIDHeader = telemetry.RequestIDHeader
 
-// forwardedByHeader marks a request as arriving through the gateway.
-const forwardedByHeader = "X-Numaio-Gateway"
-
 // GatewayConfig tunes the gateway.
 type GatewayConfig struct {
 	// Fleet is the validated membership/ring/replication config.
@@ -325,10 +322,14 @@ func (g *Gateway) handleModelGet(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) shardProxy(w http.ResponseWriter, r *http.Request, endpoint, key string) {
 	stg := telemetry.StagesFromContext(r.Context())
 	routeStart := time.Now()
-	body, ok := readBody(w, r)
-	if !ok {
+	rb := telemetry.ReadRequest(w, r)
+	if rb == nil {
 		return
 	}
+	// The forwarded body is a copy: the client's transport may still read
+	// a request body after Do returns, so it must not be a pooled buffer.
+	body := bytes.Clone(rb.Bytes())
+	rb.Release()
 	if key == "" {
 		var err error
 		if key, err = shardKey(body); err != nil {
@@ -343,20 +344,9 @@ func (g *Gateway) shardProxy(w http.ResponseWriter, r *http.Request, endpoint, k
 
 	tryOne := func(name string) (*http.Response, error) {
 		rep, _ := g.members.Replica(name)
-		req, err := http.NewRequestWithContext(r.Context(), r.Method,
-			rep.URL+r.URL.Path, bytes.NewReader(body))
+		req, err := telemetry.NewHop(r.Context(), r.Method, rep.URL+r.URL.Path, body)
 		if err != nil {
 			return nil, err
-		}
-		if ct := r.Header.Get("Content-Type"); ct != "" {
-			req.Header.Set("Content-Type", ct)
-		}
-		req.Header.Set(RequestIDHeader, rid)
-		req.Header.Set(forwardedByHeader, "numaiogw")
-		// Forward the gateway's span context, so the replica's span becomes
-		// a child in the same trace.
-		if tc, ok := telemetry.TraceFromContext(r.Context()); ok {
-			req.Header.Set(telemetry.TraceCtxHeader, tc.String())
 		}
 		return g.client.Do(req)
 	}
@@ -390,7 +380,7 @@ func (g *Gateway) shardProxy(w http.ResponseWriter, r *http.Request, endpoint, k
 		w.WriteHeader(resp.StatusCode)
 		io.Copy(w, resp.Body)
 		if resp.StatusCode == http.StatusOK {
-			g.noteHot(key, name)
+			g.noteHot(r.Context(), key, name)
 		}
 	}
 
@@ -474,7 +464,7 @@ func (g *Gateway) recordFailover(endpoint, replica, rid string, ctx context.Cont
 // hot threshold, replicates its model from the replica that just served it
 // to the next owners on the ring — synchronously, so tests and smokes see
 // the copies as soon as the crossing response returns.
-func (g *Gateway) noteHot(key, servedBy string) {
+func (g *Gateway) noteHot(ctx context.Context, key, servedBy string) {
 	if g.replication <= 1 || g.hotAfter < 0 {
 		return
 	}
@@ -488,7 +478,7 @@ func (g *Gateway) noteHot(key, servedBy string) {
 	if !fire {
 		return
 	}
-	g.replicate(key, servedBy)
+	g.replicate(ctx, key, servedBy)
 }
 
 // pullRequest is the body of the replica-side replication hook
@@ -499,10 +489,12 @@ type pullRequest struct {
 }
 
 // replicate asks up to replication-1 ring successors to pull the model for
-// fp from the replica holding it. Failures are logged and counted, never
-// surfaced: replication is an availability optimization, not a
-// correctness requirement.
-func (g *Gateway) replicate(fp, servedBy string) {
+// fp from the replica holding it, as hops of the request in ctx whose
+// answer made the model hot, so each pull, and the fetch it makes, joins
+// that request's trace. Failures are logged and counted, never surfaced:
+// replication is an availability optimization, not a correctness
+// requirement, and a client that hangs up does not cancel it.
+func (g *Gateway) replicate(ctx context.Context, fp, servedBy string) {
 	src, ok := g.members.Replica(servedBy)
 	if !ok {
 		return
@@ -511,13 +503,18 @@ func (g *Gateway) replicate(fp, servedBy string) {
 	if err != nil {
 		return
 	}
+	ctx = context.WithoutCancel(ctx)
 	peers := g.ring.Owners(fp, g.replication)
 	for _, name := range peers {
 		if name == servedBy || !g.members.Available(name) {
 			continue
 		}
 		rep, _ := g.members.Replica(name)
-		resp, err := g.client.Post(rep.URL+"/v1/models/pull", "application/json", bytes.NewReader(body))
+		req, err := telemetry.NewHop(ctx, http.MethodPost, rep.URL+"/v1/models/pull", body)
+		var resp *http.Response
+		if err == nil {
+			resp, err = g.client.Do(req)
+		}
 		if err != nil {
 			g.pullErrors.Inc()
 			g.log.Warn("replication pull failed", "fingerprint", fp, "peer", name, "error", err)
@@ -618,32 +615,9 @@ type replicaPlaceResponse struct {
 	} `json:"results"`
 }
 
-// readBody reads r's body whole, at most telemetry.MaxBodyBytes. When it
-// returns false it has already answered: 413 past the bound, 400 on a read
-// error.
-func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, telemetry.MaxBodyBytes+1))
-	if err != nil {
-		telemetry.WriteError(w, http.StatusBadRequest, "reading body: %v", err)
-		return nil, false
-	}
-	if len(body) > telemetry.MaxBodyBytes {
-		telemetry.WriteError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", telemetry.MaxBodyBytes)
-		return nil, false
-	}
-	return body, true
-}
-
 func (g *Gateway) handleFleetPlace(w http.ResponseWriter, r *http.Request) {
-	raw, ok := readBody(w, r)
-	if !ok {
-		return
-	}
 	var req fleetPlaceRequest
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		telemetry.WriteError(w, http.StatusBadRequest, "invalid JSON body: %v", err)
+	if !telemetry.DecodeRequest(w, r, &req) {
 		return
 	}
 	tasks := req.Tasks
@@ -671,7 +645,6 @@ func (g *Gateway) handleFleetPlace(w http.ResponseWriter, r *http.Request) {
 		telemetry.WriteError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	rid := r.Header.Get(RequestIDHeader)
 	g.fleetPlaces.Inc()
 
 	// Fan out to every routable replica concurrently; each answers for the
@@ -690,7 +663,7 @@ func (g *Gateway) handleFleetPlace(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(i int, rep Replica) {
 			defer wg.Done()
-			results[i], fingerprints[i] = g.placeOnReplica(r.Context(), rep, body, rid)
+			results[i], fingerprints[i] = g.placeOnReplica(r.Context(), rep, body)
 		}(i, rep)
 	}
 	wg.Wait()
@@ -732,19 +705,15 @@ func (g *Gateway) handleFleetPlace(w http.ResponseWriter, r *http.Request) {
 	telemetry.WriteJSON(w, http.StatusOK, resp)
 }
 
-// placeOnReplica runs one replica's /v1/place leg of the fan-out.
-func (g *Gateway) placeOnReplica(ctx context.Context, rep Replica, body []byte, rid string) (hostPlacement, string) {
+// placeOnReplica runs one replica's /v1/place leg of the fan-out, a hop
+// of the request in ctx. The answer is read through telemetry.ReadBody, so
+// one over telemetry.MaxBodyBytes is that host's error.
+func (g *Gateway) placeOnReplica(ctx context.Context, rep Replica, body []byte) (hostPlacement, string) {
 	hp := hostPlacement{Host: rep.Name}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, rep.URL+"/v1/place", bytes.NewReader(body))
+	req, err := telemetry.NewHop(ctx, http.MethodPost, rep.URL+"/v1/place", body)
 	if err != nil {
 		hp.Error = err.Error()
 		return hp, ""
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(RequestIDHeader, rid)
-	req.Header.Set(forwardedByHeader, "numaiogw")
-	if tc, ok := telemetry.TraceFromContext(ctx); ok {
-		req.Header.Set(telemetry.TraceCtxHeader, tc.String())
 	}
 	resp, err := g.client.Do(req)
 	if err != nil {
@@ -752,19 +721,20 @@ func (g *Gateway) placeOnReplica(ctx context.Context, rep Replica, body []byte, 
 		hp.Error = err.Error()
 		return hp, ""
 	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
+	raw, err := telemetry.ReadBody(resp.Body)
+	resp.Body.Close()
 	if err != nil {
 		hp.Error = err.Error()
 		return hp, ""
 	}
+	defer raw.Release()
 	if resp.StatusCode != http.StatusOK {
-		hp.Error = fmt.Sprintf("status %d: %s", resp.StatusCode, bytes.TrimSpace(raw))
+		hp.Error = fmt.Sprintf("status %d: %s", resp.StatusCode, bytes.TrimSpace(raw.Bytes()))
 		return hp, ""
 	}
 	g.members.ReportSuccess(rep.Name)
 	var pr replicaPlaceResponse
-	if err := json.Unmarshal(raw, &pr); err != nil {
+	if err := json.Unmarshal(raw.Bytes(), &pr); err != nil {
 		hp.Error = err.Error()
 		return hp, ""
 	}

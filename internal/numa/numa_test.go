@@ -1,6 +1,7 @@
 package numa
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -139,7 +140,7 @@ func TestTaskPolicies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(b.Pages) != 2 || b.Pages[1] != units.GiB || b.Pages[2] != units.GiB {
+	if !slices.Equal(b.Pages, []simhost.Share{{Node: 1, Size: units.GiB}, {Node: 2, Size: units.GiB}}) {
 		t.Errorf("interleaved pages = %+v", b.Pages)
 	}
 }

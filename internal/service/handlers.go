@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"net/http"
@@ -76,16 +75,16 @@ func (s *Server) handleCharacterize(w http.ResponseWriter, r *http.Request) {
 	stg := telemetry.StagesFromContext(r.Context())
 	start := time.Now()
 	var req characterizeRequest
-	if !decodeRequest(w, r, &req) {
+	if !telemetry.DecodeRequest(w, r, &req) {
 		return
 	}
 	start = stg.Lap("decode", start)
 	m, fp, err := cli.ResolveMachine(req.Machine)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		telemetry.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	stg.Lap("resolve", start)
+	start = stg.Lap("resolve", start)
 	cfg := req.Config.toCore()
 
 	if req.Async {
@@ -93,7 +92,7 @@ func (s *Server) handleCharacterize(w http.ResponseWriter, r *http.Request) {
 		snapshot := *job // the worker goroutine mutates job; respond with a copy
 		err := s.pool.Submit(func() {
 			s.jobs.SetState(job.ID, JobRunning, "", nil)
-			mm, _, _, err := s.characterizeCached(context.Background(), m, fp, cfg)
+			mm, _, _, _, err := s.characterizeCached(context.Background(), time.Time{}, m, fp, cfg)
 			if err != nil {
 				s.jobs.SetState(job.ID, JobFailed, fp, err)
 				return
@@ -101,19 +100,20 @@ func (s *Server) handleCharacterize(w http.ResponseWriter, r *http.Request) {
 			s.jobs.SetState(job.ID, JobDone, mm.Fingerprint, nil)
 		})
 		if err != nil {
-			writeError(w, http.StatusServiceUnavailable, "%v", err)
+			s.jobs.Remove(job.ID)
+			telemetry.WriteError(w, http.StatusServiceUnavailable, "%v", err)
 			return
 		}
-		writeJSON(w, http.StatusAccepted, snapshot)
+		telemetry.WriteJSON(w, http.StatusAccepted, snapshot)
 		return
 	}
 
-	mm, cached, stale, err := s.characterizeCached(r.Context(), m, fp, cfg)
+	mm, cached, stale, _, err := s.characterizeCached(r.Context(), start, m, fp, cfg)
 	if err != nil {
-		writeError(w, errStatus(err), "characterization failed: %v", err)
+		telemetry.WriteError(w, errStatus(err), "characterization failed: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, characterizeResponse{
+	telemetry.WriteJSON(w, http.StatusOK, characterizeResponse{
 		Fingerprint:   fp,
 		Cached:        cached,
 		CostReduction: mm.CostReduction(),
@@ -126,20 +126,20 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 	fp := r.PathValue("fingerprint")
 	mm, ok := s.cache.FindByFingerprint(fp)
 	if !ok {
-		writeError(w, http.StatusNotFound, "no cached model with fingerprint %q", fp)
+		telemetry.WriteError(w, http.StatusNotFound, "no cached model with fingerprint %q", fp)
 		return
 	}
-	writeJSON(w, http.StatusOK, mm)
+	telemetry.WriteJSON(w, http.StatusOK, mm)
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	job, ok := s.jobs.Get(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, "no job %q", id)
+		telemetry.WriteError(w, http.StatusNotFound, "no job %q", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, job)
+	telemetry.WriteJSON(w, http.StatusOK, job)
 }
 
 type predictRequest struct {
@@ -167,27 +167,27 @@ type predictResponse struct {
 // carries either a cached fingerprint or a machine to (re-)characterize.
 // Looking up the fingerprint, or resolving the machine, is the request's
 // "resolve" stage, which starts at start, the end of the caller's last
-// stage.
-func (s *Server) modelForRequest(ctx context.Context, start time.Time, fingerprint string, machine json.RawMessage, cfg core.Config) (*core.MachineModel, int, error) {
+// stage; end is the end of its last stage. A failure comes with its HTTP
+// status.
+func (s *Server) modelForRequest(ctx context.Context, start time.Time, fingerprint string, machine json.RawMessage, cfg core.Config) (mm *core.MachineModel, end time.Time, status int, err error) {
 	stg := telemetry.StagesFromContext(ctx)
 	if fingerprint != "" {
 		mm, ok := s.cache.FindByFingerprint(fingerprint)
-		stg.Lap("resolve", start)
+		end = stg.Lap("resolve", start)
 		if !ok {
-			return nil, http.StatusNotFound, fmt.Errorf("no cached model with fingerprint %q (characterize first or send a machine)", fingerprint)
+			return nil, end, http.StatusNotFound, fmt.Errorf("no cached model with fingerprint %q (characterize first or send a machine)", fingerprint)
 		}
-		return mm, 0, nil
+		return mm, end, 0, nil
 	}
 	m, fp, err := cli.ResolveMachine(machine)
 	if err != nil {
-		return nil, http.StatusBadRequest, err
+		return nil, start, http.StatusBadRequest, err
 	}
-	stg.Lap("resolve", start)
-	mm, _, _, err := s.characterizeCached(ctx, m, fp, cfg)
+	mm, _, _, end, err = s.characterizeCached(ctx, stg.Lap("resolve", start), m, fp, cfg)
 	if err != nil {
-		return nil, errStatus(err), err
+		return nil, end, errStatus(err), err
 	}
-	return mm, 0, nil
+	return mm, end, 0, nil
 }
 
 // predictOne evaluates Eq. 1 for one (target, mode, mix-or-counts) item
@@ -271,22 +271,22 @@ func appendMixKey(b *strings.Builder, mix map[string]float64, counts map[string]
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, body []byte, start time.Time) {
 	stg := telemetry.StagesFromContext(r.Context())
 	var req predictRequest
-	if err := decodeBody(bytes.NewReader(body), &req); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	if err := telemetry.Decode(body, &req); err != nil {
+		telemetry.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	// Cheap validation before any model work, so malformed requests cannot
 	// trigger a characterization.
 	if _, err := core.ParseMode(req.Mode); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		telemetry.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if (len(req.Mix) == 0) == (len(req.Counts) == 0) {
-		writeError(w, http.StatusBadRequest, "exactly one of mix or counts is required")
+		telemetry.WriteError(w, http.StatusBadRequest, "exactly one of mix or counts is required")
 		return
 	}
 	if err := firstErr(validateNodeKeys(req.Mix), validateNodeKeys(req.Counts)); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		telemetry.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	cfg := req.Config.toCore()
@@ -298,22 +298,21 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, body []by
 	}
 	start = stg.Lap("cache", start)
 	if hit {
-		writeJSONBytes(w, http.StatusOK, cached)
+		telemetry.WriteJSONBytes(w, http.StatusOK, cached)
 		return
 	}
-	mm, status, err := s.modelForRequest(r.Context(), start, req.Fingerprint, req.Machine, cfg)
+	mm, start, status, err := s.modelForRequest(r.Context(), start, req.Fingerprint, req.Machine, cfg)
 	if err != nil {
-		writeError(w, status, "%v", err)
+		telemetry.WriteError(w, status, "%v", err)
 		return
 	}
-	start = time.Now()
 	predicted, err := predictOne(mm, req.Target, req.Mode, req.Mix, req.Counts)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		telemetry.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	start = stg.Lap("predict", start)
-	writeJSONCached(w, start, http.StatusOK, predictResponse{
+	writeJSONCached(w, start, predictResponse{
 		Fingerprint:   mm.Fingerprint,
 		Target:        req.Target,
 		Mode:          req.Mode,
@@ -357,20 +356,19 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 	stg := telemetry.StagesFromContext(r.Context())
 	start := time.Now()
 	var req predictBatchRequest
-	if !decodeRequest(w, r, &req) {
+	if !telemetry.DecodeRequest(w, r, &req) {
 		return
 	}
 	if len(req.Items) == 0 {
-		writeError(w, http.StatusBadRequest, "batch has no items")
+		telemetry.WriteError(w, http.StatusBadRequest, "batch has no items")
 		return
 	}
 	start = stg.Lap("decode", start)
-	mm, status, err := s.modelForRequest(r.Context(), start, req.Fingerprint, req.Machine, req.Config.toCore())
+	mm, start, status, err := s.modelForRequest(r.Context(), start, req.Fingerprint, req.Machine, req.Config.toCore())
 	if err != nil {
-		writeError(w, status, "%v", err)
+		telemetry.WriteError(w, status, "%v", err)
 		return
 	}
-	start = time.Now()
 	resp := predictBatchResponse{
 		Fingerprint: mm.Fingerprint,
 		Results:     make([]predictBatchResult, len(req.Items)),
@@ -386,7 +384,7 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 		resp.Results[i] = res
 	}
 	stg.Lap("predict", start)
-	writeJSON(w, http.StatusOK, resp)
+	telemetry.WriteJSON(w, http.StatusOK, resp)
 }
 
 // validateNodeKeys checks that every key parses as a node ID without
@@ -492,12 +490,12 @@ func placeCacheKey(req *placeRequest, cfg core.Config) string {
 func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request, body []byte, start time.Time) {
 	stg := telemetry.StagesFromContext(r.Context())
 	var req placeRequest
-	if err := decodeBody(bytes.NewReader(body), &req); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	if err := telemetry.Decode(body, &req); err != nil {
+		telemetry.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if req.Tasks <= 0 {
-		writeError(w, http.StatusBadRequest, "tasks must be positive")
+		telemetry.WriteError(w, http.StatusBadRequest, "tasks must be positive")
 		return
 	}
 	engine := req.engine()
@@ -510,44 +508,42 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request, body []byte
 	}
 	start = stg.Lap("cache", start)
 	if hit {
-		writeJSONBytes(w, http.StatusOK, cached)
+		telemetry.WriteJSONBytes(w, http.StatusOK, cached)
 		return
 	}
 	m, fp, err := cli.ResolveMachine(req.Machine)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		telemetry.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	stg.Lap("resolve", start)
-	mm, _, _, err := s.characterizeCached(r.Context(), m, fp, cfg)
+	mm, _, _, start, err := s.characterizeCached(r.Context(), stg.Lap("resolve", start), m, fp, cfg)
 	if err != nil {
-		writeError(w, errStatus(err), "%v", err)
+		telemetry.WriteError(w, errStatus(err), "%v", err)
 		return
 	}
 	// Placement, with its estimates or evaluation, is the request's
 	// "predict" stage.
-	start = time.Now()
 	target := topology.NodeID(req.Target)
 	resp := placeResponse{Fingerprint: mm.Fingerprint, Target: req.Target, Engine: engine, Tasks: req.Tasks}
 
 	if req.Replicas > 1 {
 		if err := s.placeCluster(&resp, m, mm, target, engine, req); err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
+			telemetry.WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		start = stg.Lap("predict", start)
-		writeJSONCached(w, start, http.StatusOK, resp, s.placeCache, key)
+		writeJSONCached(w, start, resp, s.placeCache, key)
 		return
 	}
 
 	sys, err := numa.NewSystem(m.Clone())
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		telemetry.WriteError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	sch, err := sched.FromMachineModel(sys, mm, target)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		telemetry.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	policies := req.Policies
@@ -559,12 +555,12 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request, body []byte
 	for _, ps := range policies {
 		p, err := sched.ParsePolicy(ps)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
+			telemetry.WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		placement, err := sch.Place(engine, req.Tasks, p)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
+			telemetry.WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		res := placementResult{Policy: ps, Placement: nodeInts(placement)}
@@ -574,7 +570,7 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request, body []byte
 		if req.Evaluate {
 			rep, err := sch.Evaluate(engine, placement, units.Size(req.SizePerTask))
 			if err != nil {
-				writeError(w, http.StatusInternalServerError, "%v", err)
+				telemetry.WriteError(w, http.StatusInternalServerError, "%v", err)
 				return
 			}
 			res.MeasuredBPS = float64(rep.Aggregate)
@@ -582,7 +578,7 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request, body []byte
 		resp.Results = append(resp.Results, res)
 	}
 	start = stg.Lap("predict", start)
-	writeJSONCached(w, start, http.StatusOK, resp, s.placeCache, key)
+	writeJSONCached(w, start, resp, s.placeCache, key)
 }
 
 // placeCluster handles the replicas > 1 arm: identical hosts sharing the
@@ -677,23 +673,23 @@ func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 	stg := telemetry.StagesFromContext(r.Context())
 	start := time.Now()
 	var req whatifRequest
-	if !decodeRequest(w, r, &req) {
+	if !telemetry.DecodeRequest(w, r, &req) {
 		return
 	}
 	if len(req.Degrade) == 0 {
-		writeError(w, http.StatusBadRequest, "degrade list is empty: nothing to re-characterize")
+		telemetry.WriteError(w, http.StatusBadRequest, "degrade list is empty: nothing to re-characterize")
 		return
 	}
 	start = stg.Lap("decode", start)
 	base, beforeFP, err := cli.ResolveMachine(req.Machine)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		telemetry.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	// Reject an unknown target or mode before paying for a sweep.
 	target := topology.NodeID(req.Target)
 	if _, ok := base.Node(target); !ok {
-		writeError(w, http.StatusBadRequest, "unknown target node %d", req.Target)
+		telemetry.WriteError(w, http.StatusBadRequest, "unknown target node %d", req.Target)
 		return
 	}
 	names := req.Modes
@@ -703,7 +699,7 @@ func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 	modes := make([]core.Mode, len(names))
 	for i, ms := range names {
 		if modes[i], err = core.ParseMode(ms); err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
+			telemetry.WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 	}
@@ -711,48 +707,47 @@ func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 	mutant := base.Clone()
 	for _, d := range req.Degrade {
 		if err := mutant.DegradeLinkBetween(d.A, d.B, d.Factor); err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
+			telemetry.WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 	}
 	afterFP, err := topology.Fingerprint(mutant)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		telemetry.WriteError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	stg.Lap("resolve", start)
+	start = stg.Lap("resolve", start)
 	cfg := req.Config.toCore()
-	beforeMM, _, _, err := s.characterizeCached(r.Context(), base, beforeFP, cfg)
+	beforeMM, _, _, start, err := s.characterizeCached(r.Context(), start, base, beforeFP, cfg)
 	if err != nil {
-		writeError(w, errStatus(err), "%v", err)
+		telemetry.WriteError(w, errStatus(err), "%v", err)
 		return
 	}
 	// The mutant's sweep copies every sample the degradation cannot reach
 	// from the base model; the result equals a fresh sweep byte for byte.
 	cfg.Base = &core.Base{Machine: base, Model: beforeMM}
-	afterMM, _, _, err := s.characterizeCached(r.Context(), mutant, afterFP, cfg)
+	afterMM, _, _, start, err := s.characterizeCached(r.Context(), start, mutant, afterFP, cfg)
 	if err != nil {
-		writeError(w, errStatus(err), "%v", err)
+		telemetry.WriteError(w, errStatus(err), "%v", err)
 		return
 	}
 
 	// Diffing the two models is the request's "predict" stage.
-	start = time.Now()
 	resp := whatifResponse{BeforeFingerprint: beforeFP, AfterFingerprint: afterFP, Target: req.Target}
 	for i, mode := range modes {
 		before, err := beforeMM.ModelFor(target, mode)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
+			telemetry.WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		after, err := afterMM.ModelFor(target, mode)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
+			telemetry.WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		diffs, err := core.Diff(before, after)
 		if err != nil {
-			writeError(w, http.StatusInternalServerError, "%v", err)
+			telemetry.WriteError(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
 		res := whatifModeResult{Mode: names[i]}
@@ -774,5 +769,5 @@ func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 		resp.Results = append(resp.Results, res)
 	}
 	stg.Lap("predict", start)
-	writeJSON(w, http.StatusOK, resp)
+	telemetry.WriteJSON(w, http.StatusOK, resp)
 }

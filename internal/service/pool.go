@@ -112,17 +112,24 @@ type Job struct {
 	Finished    time.Time `json:"finished"`
 }
 
-// JobRegistry hands out job IDs and tracks job lifecycles.
+// maxFinishedJobs bounds the finished jobs a registry remembers, so a
+// client looping async characterizations cannot grow the daemon.
+const maxFinishedJobs = 1024
+
+// JobRegistry hands out job IDs and tracks job lifecycles. Past
+// maxFinishedJobs it forgets the job that finished first; it never forgets
+// a pending or running one.
 type JobRegistry struct {
 	mu   sync.Mutex
 	next int64
 	jobs map[string]*Job
-	now  func() time.Time
+	// finished holds the IDs of finished jobs still held, oldest first.
+	finished []string
 }
 
 // NewJobRegistry builds an empty registry.
 func NewJobRegistry() *JobRegistry {
-	return &JobRegistry{jobs: make(map[string]*Job), now: time.Now}
+	return &JobRegistry{jobs: make(map[string]*Job)}
 }
 
 // New registers a fresh pending job.
@@ -130,9 +137,16 @@ func (r *JobRegistry) New() *Job {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.next++
-	j := &Job{ID: fmt.Sprintf("job-%06d", r.next), State: JobPending, Created: r.now()}
+	j := &Job{ID: fmt.Sprintf("job-%06d", r.next), State: JobPending, Created: time.Now()}
 	r.jobs[j.ID] = j
 	return j
+}
+
+// Remove forgets a job that never ran: one the pool refused.
+func (r *JobRegistry) Remove(id string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	delete(r.jobs, id)
 }
 
 // Get returns a snapshot of the job (jobs mutate as they run).
@@ -160,6 +174,11 @@ func (r *JobRegistry) SetState(id string, state JobState, fingerprint string, er
 		j.Error = err.Error()
 	}
 	if state == JobDone || state == JobFailed {
-		j.Finished = r.now()
+		j.Finished = time.Now()
+		r.finished = append(r.finished, id)
+		if len(r.finished) > maxFinishedJobs {
+			delete(r.jobs, r.finished[0])
+			r.finished = r.finished[1:]
+		}
 	}
 }

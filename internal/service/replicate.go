@@ -1,9 +1,9 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 
@@ -49,15 +49,15 @@ func (s *Server) installModel(fp string, mm *core.MachineModel) error {
 func (s *Server) handleModelInstall(w http.ResponseWriter, r *http.Request) {
 	fp := r.PathValue("fingerprint")
 	var mm core.MachineModel
-	if !decodeRequest(w, r, &mm) {
+	if !telemetry.DecodeRequest(w, r, &mm) {
 		return
 	}
 	if err := s.installModel(fp, &mm); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		telemetry.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	s.log.Info("model installed", "fingerprint", fp, "source", "push")
-	writeJSON(w, http.StatusOK, map[string]any{"fingerprint": fp, "installed": true})
+	telemetry.WriteJSON(w, http.StatusOK, map[string]any{"fingerprint": fp, "installed": true})
 }
 
 // modelPullRequest is the POST /v1/models/pull body.
@@ -69,68 +69,58 @@ type modelPullRequest struct {
 
 // handleModelPull is POST /v1/models/pull: fetch the named model from a
 // peer replica's GET /v1/models endpoint and install it (the pull half of
-// replication, driven by the gateway's hot-model tracking). A peer answer
-// over telemetry.MaxBodyBytes is a 502, like any other bad peer answer.
+// replication, driven by the gateway's hot-model tracking). The peer's
+// answer is read through telemetry.ReadBody: one over
+// telemetry.MaxBodyBytes is a 502, like any other bad peer answer.
 func (s *Server) handleModelPull(w http.ResponseWriter, r *http.Request) {
 	var req modelPullRequest
-	if !decodeRequest(w, r, &req) {
+	if !telemetry.DecodeRequest(w, r, &req) {
 		return
 	}
 	if req.Fingerprint == "" || req.Source == "" {
-		writeError(w, http.StatusBadRequest, "fingerprint and source are required")
+		telemetry.WriteError(w, http.StatusBadRequest, "fingerprint and source are required")
 		return
 	}
 	if _, ok := s.cache.FindByFingerprint(req.Fingerprint); ok {
 		// Already held (computed locally or previously replicated) — a
 		// cheap no-op, not an error, so repeated pulls converge.
-		writeJSON(w, http.StatusOK, map[string]any{"fingerprint": req.Fingerprint, "installed": false})
+		telemetry.WriteJSON(w, http.StatusOK, map[string]any{"fingerprint": req.Fingerprint, "installed": false})
 		return
 	}
+	// The fetch is a hop of the same logical operation, so the source
+	// replica's span joins the pulling request's trace.
 	url := strings.TrimRight(req.Source, "/") + "/v1/models/" + req.Fingerprint
-	preq, err := http.NewRequestWithContext(r.Context(), http.MethodGet, url, nil)
+	preq, err := telemetry.NewHop(r.Context(), http.MethodGet, url, nil)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		telemetry.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
-	}
-	// The outbound fetch is a hop of the same logical operation: carry the
-	// request ID and trace context so the source replica's span joins the
-	// pulling request's trace.
-	if rid := r.Header.Get("X-Request-Id"); rid != "" {
-		preq.Header.Set("X-Request-Id", rid)
-	}
-	if tc, ok := telemetry.TraceFromContext(r.Context()); ok {
-		preq.Header.Set(telemetry.TraceCtxHeader, tc.String())
 	}
 	resp, err := s.pullClient.Do(preq)
 	if err != nil {
-		writeError(w, http.StatusBadGateway, "pulling model from %s: %v", req.Source, err)
+		telemetry.WriteError(w, http.StatusBadGateway, "pulling model from %s: %v", req.Source, err)
 		return
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		writeError(w, http.StatusBadGateway, "source %s returned %d: %s",
-			req.Source, resp.StatusCode, strings.TrimSpace(string(body)))
-		return
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, telemetry.MaxBodyBytes+1))
+	body, err := telemetry.ReadBody(resp.Body)
+	resp.Body.Close()
 	if err != nil {
-		writeError(w, http.StatusBadGateway, "reading model from %s: %v", req.Source, err)
+		telemetry.WriteError(w, http.StatusBadGateway, "reading model from %s: %v", req.Source, err)
 		return
 	}
-	if len(body) > telemetry.MaxBodyBytes {
-		writeError(w, http.StatusBadGateway, "model from %s exceeds %d bytes", req.Source, telemetry.MaxBodyBytes)
+	defer body.Release()
+	if resp.StatusCode != http.StatusOK {
+		telemetry.WriteError(w, http.StatusBadGateway, "source %s returned %d: %s",
+			req.Source, resp.StatusCode, bytes.TrimSpace(body.Bytes()))
 		return
 	}
 	var mm core.MachineModel
-	if err := json.Unmarshal(body, &mm); err != nil {
-		writeError(w, http.StatusBadGateway, "decoding model from %s: %v", req.Source, err)
+	if err := json.Unmarshal(body.Bytes(), &mm); err != nil {
+		telemetry.WriteError(w, http.StatusBadGateway, "decoding model from %s: %v", req.Source, err)
 		return
 	}
 	if err := s.installModel(req.Fingerprint, &mm); err != nil {
-		writeError(w, http.StatusBadGateway, "%v", err)
+		telemetry.WriteError(w, http.StatusBadGateway, "%v", err)
 		return
 	}
 	s.log.Info("model installed", "fingerprint", req.Fingerprint, "source", req.Source)
-	writeJSON(w, http.StatusOK, map[string]any{"fingerprint": req.Fingerprint, "installed": true})
+	telemetry.WriteJSON(w, http.StatusOK, map[string]any{"fingerprint": req.Fingerprint, "installed": true})
 }

@@ -16,6 +16,7 @@ import (
 
 	"numaio/internal/cli"
 	"numaio/internal/core"
+	"numaio/internal/telemetry"
 	"numaio/internal/topology"
 )
 
@@ -125,7 +126,7 @@ func canonicalize(req fuzzRequest) (string, any, bool) {
 	switch req.path {
 	case "/v1/predict":
 		var p predictRequest
-		if decodeBody(strings.NewReader(req.body), &p) != nil {
+		if telemetry.Decode([]byte(req.body), &p) != nil {
 			return "", nil, false
 		}
 		cfg := p.Config.toCore()
@@ -144,7 +145,7 @@ func canonicalize(req fuzzRequest) (string, any, bool) {
 		}{p, cfg}, true
 	default:
 		var p placeRequest
-		if decodeBody(strings.NewReader(req.body), &p) != nil {
+		if telemetry.Decode([]byte(req.body), &p) != nil {
 			return "", nil, false
 		}
 		cfg := p.Config.toCore()

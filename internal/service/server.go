@@ -11,9 +11,7 @@
 package service
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -250,60 +248,6 @@ func (s *Server) handle(pattern string, h http.HandlerFunc) {
 	})
 }
 
-// reqBody is a pooled request-body buffer with the bounded reader that
-// fills it, so reading a body allocates nothing once the pool is warm.
-type reqBody struct {
-	buf bytes.Buffer
-	lim io.LimitedReader
-}
-
-var bodyPool = sync.Pool{New: func() any { return new(reqBody) }}
-
-// release returns b to the pool, unless a rare large body grew it.
-func (b *reqBody) release() {
-	b.lim.R = nil
-	if b.buf.Cap() <= 64<<10 {
-		bodyPool.Put(b)
-	}
-}
-
-// readBody reads r's whole body into a pooled buffer, at most
-// telemetry.MaxBodyBytes. When the read fails or the body is over the
-// bound, it answers the request itself (400 or 413) and returns nil.
-// Release the buffer once done with its bytes.
-func readBody(w http.ResponseWriter, r *http.Request) *reqBody {
-	rb := bodyPool.Get().(*reqBody)
-	rb.buf.Reset()
-	rb.lim = io.LimitedReader{R: r.Body, N: telemetry.MaxBodyBytes + 1}
-	if _, err := rb.buf.ReadFrom(&rb.lim); err != nil {
-		rb.release()
-		writeError(w, http.StatusBadRequest, "reading request body: %v", err)
-		return nil
-	}
-	if rb.buf.Len() > telemetry.MaxBodyBytes {
-		rb.release()
-		writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", telemetry.MaxBodyBytes)
-		return nil
-	}
-	return rb
-}
-
-// decodeRequest strictly decodes r's body, read whole through readBody's
-// bound, into v. When that fails it answers the request itself and returns
-// false.
-func decodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
-	rb := readBody(w, r)
-	if rb == nil {
-		return false
-	}
-	defer rb.release()
-	if err := decodeBody(&rb.buf, v); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return false
-	}
-	return true
-}
-
 // handleCached registers a route whose 200 responses cache. Its wrapper
 // reads the body once, at most telemetry.MaxBodyBytes, and answers a
 // request spelled exactly like one an earlier canonical hit served straight
@@ -315,16 +259,16 @@ func decodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
 func (s *Server) handleCached(pattern string, cache *RespCache, h func(w http.ResponseWriter, r *http.Request, body []byte, start time.Time)) {
 	s.pipe.Handle(s.mux, pattern, func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		rb := readBody(w, r)
+		rb := telemetry.ReadRequest(w, r)
 		if rb == nil {
 			return
 		}
-		defer rb.release()
-		body := rb.buf.Bytes()
+		defer rb.Release()
+		body := rb.Bytes()
 		stg := telemetry.StagesFromContext(r.Context())
 		if cached, ok := cache.GetExact(body); ok {
 			stg.Lap("cache", start)
-			writeJSONBytes(w, http.StatusOK, cached)
+			telemetry.WriteJSONBytes(w, http.StatusOK, cached)
 			return
 		}
 		start = stg.Lap("decode", start)
@@ -371,11 +315,12 @@ func (s *Server) Drain(ctx context.Context) error { return s.pool.Drain(ctx) }
 // characterizeCached returns the whole-host model of machine m, whose
 // topology fingerprint fp the caller supplies (cli.ResolveMachine returns
 // it with the machine), computing it at most once per (fingerprint,
-// config) across concurrent callers. The first bool reports a cache (or
-// coalesced) hit; the second reports a stale entry served because
+// config) across concurrent callers. cached reports a cache (or
+// coalesced) hit; stale reports an expired entry served because
 // recomputation failed or its circuit breaker is open (graceful
-// degradation: the last good model beats a 500).
-func (s *Server) characterizeCached(ctx context.Context, m *topology.Machine, fp string, cfg core.Config) (*core.MachineModel, bool, bool, error) {
+// degradation: the last good model beats a 500). Its "cache" stage runs
+// from start, the end of the caller's last stage, to end.
+func (s *Server) characterizeCached(ctx context.Context, start time.Time, m *topology.Machine, fp string, cfg core.Config) (mm *core.MachineModel, cached, stale bool, end time.Time, err error) {
 	if cfg.Parallelism == 0 {
 		cfg.Parallelism = s.parallelism
 	}
@@ -389,9 +334,9 @@ func (s *Server) characterizeCached(ctx context.Context, m *topology.Machine, fp
 	if br != nil && !br.Allow() {
 		if mm, ok := s.cache.GetStale(key); ok {
 			s.staleServed.Inc()
-			return mm, true, true, nil
+			return mm, true, true, start, nil
 		}
-		return nil, false, false, fmt.Errorf("%w: model %s", ErrCircuitOpen, fp)
+		return nil, false, false, start, fmt.Errorf("%w: model %s", ErrCircuitOpen, fp)
 	}
 
 	// Stage attribution: queue is the wait for a worker slot, solve the
@@ -400,15 +345,15 @@ func (s *Server) characterizeCached(ctx context.Context, m *topology.Machine, fp
 	// follower spends its whole wall time here under "cache", which is
 	// accurate: it waited on the cache, not on a solver.
 	stg := telemetry.StagesFromContext(ctx)
-	cacheStart := time.Now()
-	mm, cached, err := s.cache.GetOrCompute(key, func() (*core.MachineModel, error) {
+	var busy time.Duration // this lookup's queue and solve time
+	mm, cached, err = s.cache.GetOrCompute(key, func() (*core.MachineModel, error) {
 		queueStart := time.Now()
 		if err := s.pool.Acquire(ctx); err != nil {
 			return nil, err
 		}
-		stg.Add("queue", time.Since(queueStart))
 		defer s.pool.Release()
-		start := time.Now()
+		solveStart := time.Now()
+		stg.Add("queue", solveStart.Sub(queueStart))
 		var mm *core.MachineModel
 		rerr := resilience.Retry(ctx, s.clock, s.retry, func(attempt int) error {
 			if attempt > 0 {
@@ -423,18 +368,19 @@ func (s *Server) characterizeCached(ctx context.Context, m *topology.Machine, fp
 			}
 			return cerr
 		})
-		stg.Add("solve", time.Since(start))
+		solved := time.Since(solveStart)
+		stg.Add("solve", solved)
+		busy = solveStart.Sub(queueStart) + solved
 		if rerr != nil {
 			return nil, rerr
 		}
-		s.charLatency.Observe(time.Since(start).Seconds())
+		s.charLatency.Observe(solved.Seconds())
 		mm.Fingerprint = fp
 		return mm, nil
 	})
-	if stg != nil {
-		if d := time.Since(cacheStart) - stg.Get("queue") - stg.Get("solve"); d > 0 {
-			stg.Add("cache", d)
-		}
+	end = time.Now()
+	if d := end.Sub(start) - busy; d > 0 {
+		stg.Add("cache", d)
 	}
 	// Only the caller that actually computed (or failed to) moves the
 	// breaker; cache hits and coalesced followers say nothing about the
@@ -447,11 +393,11 @@ func (s *Server) characterizeCached(ctx context.Context, m *topology.Machine, fp
 			s.log.Warn("serving stale model after failed recomputation",
 				"fingerprint", fp, "error", err)
 			s.staleServed.Inc()
-			return mm, true, true, nil
+			return mm, true, true, end, nil
 		}
-		return nil, false, false, err
+		return nil, false, false, end, err
 	}
-	return mm, cached, false, nil
+	return mm, cached, false, end, nil
 }
 
 // breaker returns the circuit breaker guarding one cache key, or nil when
@@ -546,71 +492,15 @@ func configKey(cfg core.Config) string {
 		cfg.Threads, cfg.Repeats, int64(cfg.BytesPerThread), cfg.GapThreshold, cfg.Sigma)
 }
 
-// jsonEncoder is a pooled buffer+encoder pair so the hot serving path does
-// not rebuild a json.Encoder (and grow a fresh buffer) per response.
-type jsonEncoder struct {
-	buf bytes.Buffer
-	enc *json.Encoder
-}
-
-var encPool = sync.Pool{New: func() any {
-	e := &jsonEncoder{}
-	e.enc = json.NewEncoder(&e.buf)
-	e.enc.SetIndent("", "  ")
-	return e
-}}
-
-// encodeJSON renders v exactly as writeJSON does (two-space indent,
-// trailing newline) into a freshly owned byte slice, via the encoder pool.
-func encodeJSON(v any) ([]byte, error) {
-	e := encPool.Get().(*jsonEncoder)
-	e.buf.Reset()
-	if err := e.enc.Encode(v); err != nil {
-		encPool.Put(e)
-		return nil, err
-	}
-	body := make([]byte, e.buf.Len())
-	copy(body, e.buf.Bytes())
-	encPool.Put(e)
-	return body, nil
-}
-
-// writeJSON encodes v with a status code, charging the encode time to the
-// request's "encode" stage when the middleware attached one.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	start := time.Now()
-	e := encPool.Get().(*jsonEncoder)
-	e.buf.Reset()
-	if err := e.enc.Encode(v); err != nil {
-		encPool.Put(e)
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+// writeJSONCached renders v once, serves it as a 200, and retains the
+// bytes in cache under key: the store half of the serving fast lane. Its
+// "encode" stage starts at start, the end of the handler's last stage.
+func writeJSONCached(w http.ResponseWriter, start time.Time, v any, cache *RespCache, key string) {
+	if cache == nil {
+		telemetry.WriteJSON(w, http.StatusOK, v)
 		return
 	}
-	telemetry.StagesFromWriter(w).Add("encode", time.Since(start))
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_, _ = w.Write(e.buf.Bytes())
-	encPool.Put(e)
-}
-
-// writeJSONBytes serves an already rendered JSON body (response-cache
-// hits).
-func writeJSONBytes(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_, _ = w.Write(body)
-}
-
-// writeJSONCached renders v once, serves it, and retains the bytes in
-// cache under key when the response is a 200 — the store half of the
-// serving fast lane. Its "encode" stage starts at start, the end of the
-// handler's last stage.
-func writeJSONCached(w http.ResponseWriter, start time.Time, status int, v any, cache *RespCache, key string) {
-	if status != http.StatusOK || cache == nil {
-		writeJSON(w, status, v)
-		return
-	}
-	body, err := encodeJSON(v)
+	body, err := telemetry.EncodeJSON(v)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -619,24 +509,5 @@ func writeJSONCached(w http.ResponseWriter, start time.Time, status int, v any, 
 	start = stg.Lap("encode", start)
 	cache.Put(key, body)
 	stg.Lap("cache", start)
-	writeJSONBytes(w, status, body)
-}
-
-// apiError is the uniform error body.
-type apiError struct {
-	Error string `json:"error"`
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, apiError{Error: fmt.Sprintf(format, args...)})
-}
-
-// decodeBody strictly decodes a JSON request body into v.
-func decodeBody(body io.Reader, v any) error {
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("invalid JSON body: %w", err)
-	}
-	return nil
+	telemetry.WriteJSONBytes(w, http.StatusOK, body)
 }

@@ -10,9 +10,9 @@
 package simhost
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 
 	"numaio/internal/topology"
@@ -64,12 +64,19 @@ type NodeStats struct {
 	OtherNode     int64 // allocations on this node for tasks running elsewhere
 }
 
+// Share is the part of a buffer placed on one node.
+type Share struct {
+	Node topology.NodeID
+	Size units.Size
+}
+
 // Buffer is an allocated simulated memory region. Pages records how the
-// buffer is spread across nodes (a single entry except for interleaving).
+// buffer is spread across nodes, one positive share per node in ascending
+// node order: a single share except for interleaving.
 type Buffer struct {
 	ID    int
 	Size  units.Size
-	Pages map[topology.NodeID]units.Size
+	Pages []Share
 	freed bool
 }
 
@@ -77,21 +84,11 @@ type Buffer struct {
 // for non-interleaved buffers is the only node. Ties break toward the
 // lowest node ID.
 func (b *Buffer) HomeNode() topology.NodeID {
-	if len(b.Pages) == 1 {
-		for n := range b.Pages {
-			return n
-		}
-	}
 	var best topology.NodeID
 	var bestSize units.Size = -1
-	ids := make([]topology.NodeID, 0, len(b.Pages))
-	for n := range b.Pages {
-		ids = append(ids, n)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, n := range ids {
-		if b.Pages[n] > bestSize {
-			best, bestSize = n, b.Pages[n]
+	for _, sh := range b.Pages {
+		if sh.Size > bestSize {
+			best, bestSize = sh.Node, sh.Size
 		}
 	}
 	return best
@@ -121,9 +118,9 @@ type Host struct {
 	free   []units.Size
 	stats  []NodeStats
 	nextID int
-	// bufPool recycles Buffers (and their Pages maps) released by Free, so
-	// the alloc/free cycle of every measurement instance stays off the Go
-	// heap in steady state.
+	// bufPool recycles Buffers (and their Pages slices) released by Free,
+	// so the alloc/free cycle of every measurement instance stays off the
+	// Go heap in steady state.
 	bufPool []*Buffer
 }
 
@@ -257,7 +254,7 @@ func (h *Host) allocOn(want topology.NodeID, req AllocRequest, task int32, stric
 	h.free[got] -= req.Size
 	h.account(wantPos, got, task, false)
 	b := h.takeBuffer(req.Size)
-	b.Pages[h.ids[got]] = req.Size
+	b.Pages = append(b.Pages, Share{Node: h.ids[got], Size: req.Size})
 	return b, nil
 }
 
@@ -272,7 +269,6 @@ func (h *Host) allocInterleaved(req AllocRequest, task int32) (*Buffer, error) {
 		}
 	}
 	b := h.takeBuffer(req.Size)
-	pages := b.Pages
 	share := req.Size / units.Size(len(nodes))
 	rem := req.Size - share*units.Size(len(nodes))
 	var spill units.Size
@@ -289,7 +285,7 @@ func (h *Host) allocInterleaved(req AllocRequest, task int32) (*Buffer, error) {
 		}
 		if take > 0 {
 			h.free[p] -= take
-			pages[n] += take
+			b.Pages = addShare(b.Pages, n, take)
 			h.account(p, p, task, true)
 		} else {
 			h.stats[p].NumaForeign++
@@ -300,8 +296,8 @@ func (h *Host) allocInterleaved(req AllocRequest, task int32) (*Buffer, error) {
 		p := h.emptiestPosWith(1)
 		if p < 0 {
 			// Roll back.
-			for node, sz := range pages {
-				h.free[h.pos(node)] += sz
+			for _, sh := range b.Pages {
+				h.free[h.pos(sh.Node)] += sh.Size
 			}
 			h.releaseBuffer(b)
 			return nil, fmt.Errorf("simhost: interleave cannot place %v", req.Size)
@@ -311,11 +307,23 @@ func (h *Host) allocInterleaved(req AllocRequest, task int32) (*Buffer, error) {
 			take = h.free[p]
 		}
 		h.free[p] -= take
-		pages[h.ids[p]] += take
+		b.Pages = addShare(b.Pages, h.ids[p], take)
 		h.stats[p].NumaMiss++
 		spill -= take
 	}
 	return b, nil
+}
+
+// addShare adds size on node n to shares, which it keeps in ascending node
+// order with one share per node, so an interleave list naming a node twice
+// or out of order yields the same shares.
+func addShare(shares []Share, n topology.NodeID, size units.Size) []Share {
+	i, ok := slices.BinarySearchFunc(shares, n, func(sh Share, n topology.NodeID) int { return cmp.Compare(sh.Node, n) })
+	if ok {
+		shares[i].Size += size
+		return shares
+	}
+	return slices.Insert(shares, i, Share{Node: n, Size: size})
 }
 
 // emptiestPosWith returns the position of the node with the most free
@@ -350,21 +358,21 @@ func (h *Host) account(want, got, task int32, interleave bool) {
 	}
 }
 
-// takeBuffer pops a pooled buffer (reusing its Pages map) or builds a fresh
-// one. Caller holds h.mu.
+// takeBuffer pops a pooled buffer (reusing its Pages slice) or builds a
+// fresh one, with no shares. Caller holds h.mu.
 func (h *Host) takeBuffer(size units.Size) *Buffer {
 	h.nextID++
 	if n := len(h.bufPool); n > 0 {
 		b := h.bufPool[n-1]
 		h.bufPool[n-1] = nil
 		h.bufPool = h.bufPool[:n-1]
-		clear(b.Pages)
+		b.Pages = b.Pages[:0]
 		b.ID = h.nextID
 		b.Size = size
 		b.freed = false
 		return b
 	}
-	return &Buffer{ID: h.nextID, Size: size, Pages: make(map[topology.NodeID]units.Size, 1)}
+	return &Buffer{ID: h.nextID, Size: size, Pages: make([]Share, 0, 1)}
 }
 
 // releaseBuffer parks a buffer for reuse. Caller holds h.mu.
@@ -376,7 +384,7 @@ func (h *Host) releaseBuffer(b *Buffer) {
 }
 
 // Free releases a buffer. Freeing twice is an error. The buffer (and its
-// Pages map) may be recycled by a later Alloc, so callers must not retain
+// Pages slice) may be recycled by a later Alloc, so callers must not retain
 // references past the Free.
 func (h *Host) Free(b *Buffer) error {
 	if b == nil {
@@ -387,9 +395,9 @@ func (h *Host) Free(b *Buffer) error {
 	if b.freed {
 		return fmt.Errorf("simhost: double free of buffer %d", b.ID)
 	}
-	for n, sz := range b.Pages {
-		if p := h.pos(n); p >= 0 {
-			h.free[p] += sz
+	for _, sh := range b.Pages {
+		if p := h.pos(sh.Node); p >= 0 {
+			h.free[p] += sh.Size
 		}
 	}
 	h.releaseBuffer(b)

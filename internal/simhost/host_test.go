@@ -2,6 +2,7 @@ package simhost
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -58,7 +59,7 @@ func TestAllocBindStrict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.HomeNode() != 3 || b.Pages[3] != units.GiB {
+	if b.HomeNode() != 3 || !slices.Equal(b.Pages, []Share{{3, units.GiB}}) {
 		t.Errorf("buffer = %+v", b)
 	}
 	if got := h.FreeMem(3); got != 3*units.GiB {
@@ -118,9 +119,9 @@ func TestAllocInterleaveEvenSplit(t *testing.T) {
 	if len(b.Pages) != 8 {
 		t.Fatalf("interleave spread over %d nodes, want 8", len(b.Pages))
 	}
-	for n, sz := range b.Pages {
-		if sz != units.GiB {
-			t.Errorf("node %d share = %v, want 1GiB", n, sz)
+	for i, sh := range b.Pages {
+		if sh != (Share{topology.NodeID(i), units.GiB}) {
+			t.Errorf("share %d = %+v, want 1GiB on node %d", i, sh, i)
 		}
 	}
 	if st := h.Stats(4); st.InterleaveHit != 1 {
@@ -143,17 +144,14 @@ func TestAllocInterleaveSubsetAndSpill(t *testing.T) {
 		t.Fatal(err)
 	}
 	var total units.Size
-	for _, sz := range b.Pages {
-		total += sz
+	for _, sh := range b.Pages {
+		total += sh.Size
 	}
 	if total != 2*units.GiB {
 		t.Errorf("interleaved total = %v, want 2GiB", total)
 	}
-	if b.Pages[1] != 512*units.MiB {
-		t.Errorf("node 1 share = %v, want 512MiB (all that was free)", b.Pages[1])
-	}
-	if b.Pages[2] != units.GiB {
-		t.Errorf("node 2 share = %v, want 1GiB", b.Pages[2])
+	if len(b.Pages) < 2 || b.Pages[0] != (Share{1, 512 * units.MiB}) || b.Pages[1] != (Share{2, units.GiB}) {
+		t.Errorf("shares %+v: want 512MiB on node 1 (all that was free), then 1GiB on node 2", b.Pages)
 	}
 }
 
@@ -270,9 +268,44 @@ func TestHardwareOutput(t *testing.T) {
 }
 
 func TestBufferHomeNodeTieBreak(t *testing.T) {
-	b := &Buffer{Pages: map[topology.NodeID]units.Size{2: units.GiB, 5: units.GiB}}
+	b := &Buffer{Pages: []Share{{2, units.GiB}, {5, units.GiB}}}
 	if got := b.HomeNode(); got != 2 {
 		t.Errorf("HomeNode tie = %d, want 2 (lowest)", got)
+	}
+}
+
+// TestInterleaveSharesMerge: an unsorted interleave list naming a node
+// twice yields one share per node, in ascending node order, and a pooled
+// buffer reused for it keeps none of its earlier shares.
+func TestInterleaveSharesMerge(t *testing.T) {
+	h := newTestHost(t)
+	first, err := h.Alloc(AllocRequest{Size: units.GiB, Policy: PolicyBind, Target: 6, TaskNode: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Free(first); err != nil {
+		t.Fatal(err)
+	}
+	b, err := h.Alloc(AllocRequest{
+		Size: 3 * units.GiB, Policy: PolicyInterleave, TaskNode: 0,
+		InterleaveNodes: []topology.NodeID{3, 1, 3},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []Share{{1, units.GiB}, {3, 2 * units.GiB}}; !slices.Equal(b.Pages, want) {
+		t.Errorf("shares %+v, want %+v", b.Pages, want)
+	}
+	if st := h.Stats(3); st.InterleaveHit != 2 {
+		t.Errorf("stats(3).InterleaveHit = %d, want 2", st.InterleaveHit)
+	}
+	if err := h.Free(b); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []topology.NodeID{1, 3} {
+		if got := h.FreeMem(n); got != 4*units.GiB {
+			t.Errorf("node %d free after Free = %v, want 4GiB", n, got)
+		}
 	}
 }
 
@@ -333,7 +366,7 @@ func TestSparseNodeIDs(t *testing.T) {
 		alloc(AllocRequest{Size: 2, Policy: PolicyLocalPreferred, TaskNode: -2}, 5),
 		alloc(AllocRequest{Size: 3, Policy: PolicyInterleave, TaskNode: 70000}, -2),
 	}
-	if got := bufs[4].Pages; len(got) != 3 || got[-2] != units.GiB || got[5] != units.GiB || got[70000] != units.GiB {
+	if got := bufs[4].Pages; !slices.Equal(got, []Share{{-2, units.GiB}, {5, units.GiB}, {70000, units.GiB}}) {
 		t.Errorf("interleave pages = %v, want 1 GiB on each node", got)
 	}
 	if _, err := h.Alloc(AllocRequest{Size: units.GiB, Policy: PolicyBind, Target: -2, TaskNode: -2}); err == nil {

@@ -53,8 +53,8 @@ func (r *Runner) MeasureInterleaved(cpu topology.NodeID) (units.Bandwidth, error
 	// the first array (all arrays share the same distribution shape).
 	pages := bufs[0].Pages
 	var total float64
-	for _, sz := range pages {
-		total += float64(sz)
+	for _, sh := range pages {
+		total += float64(sh.Size)
 	}
 	coreCap := float64(cpuNode.CoreIssueBandwidth) *
 		float64(threads) / float64(cpuNode.Cores) *
@@ -64,20 +64,16 @@ func (r *Runner) MeasureInterleaved(cpu topology.NodeID) (units.Bandwidth, error
 	})
 	var usages []fabric.Usage
 	var effSum, fracSum float64
-	for _, mem := range m.NodeIDs() {
-		sz, ok := pages[mem]
-		if !ok || sz <= 0 {
-			continue
-		}
-		frac := float64(sz) / total
-		nodeUsages, err := fabric.PIOFlowUsages(m, cpu, mem, fabric.DefaultPIOParams())
+	for _, sh := range pages {
+		frac := float64(sh.Size) / total
+		nodeUsages, err := fabric.PIOFlowUsages(m, cpu, sh.Node, fabric.DefaultPIOParams())
 		if err != nil {
 			return 0, err
 		}
 		for _, u := range nodeUsages {
 			usages = append(usages, fabric.Usage{Resource: u.Resource, Weight: u.Weight * frac})
 		}
-		effSum += frac * r.relationEff(cpu, mem)
+		effSum += frac * r.relationEff(cpu, sh.Node)
 		fracSum += frac
 	}
 	if fracSum == 0 {

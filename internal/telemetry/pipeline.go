@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -350,29 +349,4 @@ type traceState struct {
 	// Events is the number of trace events captured so far (stop reports
 	// the final count of the recording it just froze).
 	Events int `json:"events"`
-}
-
-// WriteJSON writes v as the daemons' API renders JSON: two-space indent,
-// trailing newline.
-func WriteJSON(w http.ResponseWriter, status int, v any) {
-	buf, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(append(buf, '\n'))
-}
-
-// MaxBodyBytes bounds every request body either daemon buffers: 25 times
-// the largest shipped inline machine (hp-blade32, 41 KB). A longer body is
-// answered 413 before any work is done for it.
-const MaxBodyBytes = 1 << 20
-
-// WriteError writes the daemons' uniform error body, {"error": "..."}.
-func WriteError(w http.ResponseWriter, status int, format string, args ...any) {
-	WriteJSON(w, status, struct {
-		Error string `json:"error"`
-	}{fmt.Sprintf(format, args...)})
 }
