@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -25,11 +26,11 @@ func TestBothModesWithJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	model, err := core.LoadJSON(f)
+	models, err := core.LoadModelsJSON(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if model.Mode != core.ModeWrite || model.NumClasses() != 3 {
+	if model := models[0]; len(models) != 1 || model.Mode != core.ModeWrite || model.NumClasses() != 3 {
 		t.Errorf("persisted model = %+v", model)
 	}
 }
@@ -89,8 +90,11 @@ func TestWholeHostModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	mm, err := core.LoadMachineJSON(f)
-	if err != nil {
+	var mm core.MachineModel
+	if err := json.NewDecoder(f).Decode(&mm); err != nil {
+		t.Fatal(err)
+	}
+	if err := mm.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if len(mm.Models) != 16 {

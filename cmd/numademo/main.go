@@ -203,7 +203,7 @@ func demoIOModel(sys *numa.System, target topology.NodeID, out io.Writer) error 
 		if _, err := fmt.Fprint(out, t.Render()); err != nil {
 			return err
 		}
-		chart := report.BarChart{Width: 40}
+		var chart report.BarChart
 		for _, smp := range model.Samples {
 			chart.Add(fmt.Sprintf("node%d", int(smp.Node)), smp.Bandwidth)
 		}

@@ -87,16 +87,16 @@ func parseMix(s string) (map[string]float64, error) {
 // round trip.
 type stageHists struct {
 	mu      sync.Mutex
-	connect *loadgen.Histogram
-	ttfb    *loadgen.Histogram
-	decode  *loadgen.Histogram
+	connect *telemetry.Histogram
+	ttfb    *telemetry.Histogram
+	decode  *telemetry.Histogram
 }
 
 func newStageHists() *stageHists {
 	return &stageHists{
-		connect: loadgen.NewHistogram(),
-		ttfb:    loadgen.NewHistogram(),
-		decode:  loadgen.NewHistogram(),
+		connect: telemetry.NewHistogram(),
+		ttfb:    telemetry.NewHistogram(),
+		decode:  telemetry.NewHistogram(),
 	}
 }
 
@@ -110,9 +110,9 @@ func (s *stageHists) record(connect, ttfb, decode time.Duration) {
 
 func (s *stageHists) reset() {
 	s.mu.Lock()
-	s.connect = loadgen.NewHistogram()
-	s.ttfb = loadgen.NewHistogram()
-	s.decode = loadgen.NewHistogram()
+	s.connect = telemetry.NewHistogram()
+	s.ttfb = telemetry.NewHistogram()
+	s.decode = telemetry.NewHistogram()
 	s.mu.Unlock()
 }
 
@@ -121,7 +121,7 @@ func (s *stageHists) report(out io.Writer) {
 	defer s.mu.Unlock()
 	for _, row := range []struct {
 		name string
-		h    *loadgen.Histogram
+		h    *telemetry.Histogram
 	}{{"connect", s.connect}, {"ttfb", s.ttfb}, {"decode", s.decode}} {
 		if row.h.Count() == 0 {
 			continue

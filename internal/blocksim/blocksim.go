@@ -15,7 +15,6 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
-	"sort"
 
 	"numaio/internal/fabric"
 	"numaio/internal/units"
@@ -47,23 +46,6 @@ type Result struct {
 	// Latencies are the sojourn times of every block, issue to completion,
 	// in completion order.
 	Latencies []units.Duration
-}
-
-// LatencyPercentile returns the p-quantile (0..1) of the block latencies.
-func (r *Result) LatencyPercentile(p float64) units.Duration {
-	if len(r.Latencies) == 0 {
-		return 0
-	}
-	sorted := append([]units.Duration(nil), r.Latencies...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(p * float64(len(sorted)-1))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
 }
 
 // Config tunes a simulation run.

@@ -13,6 +13,13 @@ import (
 	"time"
 )
 
+// readHeaderTimeout bounds the time a client may take to send a request's
+// headers, so one that trickles them cannot hold a connection and its
+// goroutine. net/http starts the clock when it accepts a connection and,
+// for each later keep-alive request, at its first byte, so idle pooled
+// connections are not cut. Tests shorten it.
+var readHeaderTimeout = 10 * time.Second
+
 // Daemon describes one HTTP daemon for Serve: numaiod and numaiogw.
 type Daemon struct {
 	// Name heads the exit line, "<Name>: drained, bye".
@@ -67,7 +74,7 @@ func Serve(ctx context.Context, d Daemon) error {
 		d.Ready()
 	}
 
-	srv := &http.Server{Handler: d.Handler}
+	srv := &http.Server{Handler: d.Handler, ReadHeaderTimeout: readHeaderTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	select {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"reflect"
 	"strings"
@@ -313,37 +314,17 @@ func TestRelativeError(t *testing.T) {
 	}
 }
 
-func TestEquivalentClasses(t *testing.T) {
-	m := &Model{
-		Classes: []Class{
-			{Rank: 1, Nodes: []topology.NodeID{7}, Avg: 23.3 * units.Gbps},
-			{Rank: 2, Nodes: []topology.NodeID{0}, Avg: 23.2 * units.Gbps},
-			{Rank: 3, Nodes: []topology.NodeID{2}, Avg: 17.1 * units.Gbps},
-		},
-	}
-	groups := m.EquivalentClasses(0.05)
-	if len(groups) != 2 {
-		t.Fatalf("groups = %v, want 2", groups)
-	}
-	if !reflect.DeepEqual(groups[0], []int{1, 2}) {
-		t.Errorf("group 0 = %v, want [1 2] (the paper's interchangeable classes)", groups[0])
-	}
-	if !reflect.DeepEqual(groups[1], []int{3}) {
-		t.Errorf("group 1 = %v", groups[1])
-	}
-}
-
 func TestPersistenceRoundTrip(t *testing.T) {
 	m := characterize(t, ModeRead)
 	var buf bytes.Buffer
 	if err := m.SaveJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadJSON(&buf)
+	back, err := LoadModelsJSON(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(m, back) {
+	if len(back) != 1 || !reflect.DeepEqual(m, back[0]) {
 		t.Error("model changed over JSON round trip")
 	}
 }
@@ -363,7 +344,7 @@ func TestLoadJSONValidation(t *testing.T) {
 		`{"samples":[{"node":7,"bandwidth_bps":1}],"classes":[{"rank":1,"nodes":[7,7],"min_bps":1,"max_bps":1,"avg_bps":1}]}`,
 	}
 	for _, src := range cases {
-		if _, err := LoadJSON(strings.NewReader(src)); err == nil {
+		if _, err := LoadModelsJSON(strings.NewReader(src)); err == nil {
 			t.Errorf("expected validation error for %s", src)
 		}
 	}
@@ -513,9 +494,6 @@ func TestCharacterizeAll(t *testing.T) {
 	if len(mm.Models) != 16 { // 8 targets x 2 modes
 		t.Fatalf("models = %d, want 16", len(mm.Models))
 	}
-	if len(mm.Targets()) != 8 {
-		t.Errorf("targets = %v", mm.Targets())
-	}
 	m7, err := mm.ModelFor(7, ModeRead)
 	if err != nil {
 		t.Fatal(err)
@@ -535,7 +513,7 @@ func TestCharacterizeAll(t *testing.T) {
 	}
 
 	// Every target's write model must keep the target in class 1.
-	for _, target := range mm.Targets() {
+	for _, target := range sys.Machine().NodeIDs() {
 		w, err := mm.ModelFor(target, ModeWrite)
 		if err != nil {
 			t.Fatal(err)
@@ -564,21 +542,29 @@ func TestMachineModelJSONRoundTrip(t *testing.T) {
 	if err := mm.SaveJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadMachineJSON(&buf)
-	if err != nil {
+	var back MachineModel
+	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(mm, back) {
+	if err := back.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(mm, &back) {
 		t.Error("machine model changed over JSON round trip")
 	}
-	if _, err := LoadMachineJSON(strings.NewReader("{}")); err == nil {
-		t.Error("empty machine model should fail")
-	}
-	if _, err := LoadMachineJSON(strings.NewReader("{")); err == nil {
-		t.Error("syntax error should fail")
-	}
-	if _, err := LoadMachineJSON(strings.NewReader(`{"models":[{"samples":[],"classes":[]}]}`)); err == nil {
-		t.Error("invalid contained model should fail")
+	for _, src := range []string{
+		`{}`,
+		`{"models":[]}`,
+		`{"models":[null]}`,
+		`{"models":[{"samples":[],"classes":[]}]}`,
+	} {
+		var bad MachineModel
+		if err := json.Unmarshal([]byte(src), &bad); err != nil {
+			t.Fatal(err)
+		}
+		if err := bad.Validate(); err == nil {
+			t.Errorf("Validate accepted %s", src)
+		}
 	}
 }
 
@@ -590,10 +576,10 @@ func TestDiff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ChangedNodes(same)) != 0 {
-		t.Errorf("self-diff reported changes: %v", ChangedNodes(same))
-	}
 	for _, d := range same {
+		if d.ClassChanged {
+			t.Errorf("self-diff moved node %d", d.Node)
+		}
 		if d.RelChange != 0 {
 			t.Errorf("self-diff node %d rel change %v", d.Node, d.RelChange)
 		}
@@ -620,15 +606,14 @@ func TestDiff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	changed := ChangedNodes(diffs)
 	found := false
-	for _, n := range changed {
-		if n == 0 {
+	for _, d := range diffs {
+		if d.Node == 0 && d.ClassChanged {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("node 0 should change class after degradation: %v", changed)
+		t.Errorf("node 0 should change class after degradation: %+v", diffs)
 	}
 	for _, d := range diffs {
 		if d.Node == 0 && d.RelChange >= 0 {

@@ -65,14 +65,3 @@ func Diff(before, after *Model) ([]NodeDiff, error) {
 	}
 	return out, nil
 }
-
-// ChangedNodes filters a diff to the nodes whose class moved.
-func ChangedNodes(diffs []NodeDiff) []topology.NodeID {
-	var out []topology.NodeID
-	for _, d := range diffs {
-		if d.ClassChanged {
-			out = append(out, d.Node)
-		}
-	}
-	return out
-}

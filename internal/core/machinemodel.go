@@ -66,20 +66,6 @@ func (mm *MachineModel) ModelFor(target topology.NodeID, mode Mode) (*Model, err
 	return nil, fmt.Errorf("core: no %v model for node %d", mode, int(target))
 }
 
-// Targets returns the characterized target nodes (deduplicated, in model
-// order).
-func (mm *MachineModel) Targets() []topology.NodeID {
-	seen := make(map[topology.NodeID]bool)
-	var out []topology.NodeID
-	for _, m := range mm.Models {
-		if !seen[m.Target] {
-			seen[m.Target] = true
-			out = append(out, m.Target)
-		}
-	}
-	return out
-}
-
 // CostReduction is the whole-host benchmark saving: the fraction of
 // (target, direction, node) cells covered by class representatives.
 func (mm *MachineModel) CostReduction() float64 {
@@ -94,6 +80,24 @@ func (mm *MachineModel) CostReduction() float64 {
 	return 1 - float64(reps)/float64(cells)
 }
 
+// Validate checks that the machine model holds at least one model, none
+// of them null, and that each passes the structural checks LoadModelsJSON
+// applies. Replicas call it on every model they install.
+func (mm *MachineModel) Validate() error {
+	if len(mm.Models) == 0 {
+		return fmt.Errorf("core: machine model has no models")
+	}
+	for i, m := range mm.Models {
+		if m == nil {
+			return fmt.Errorf("core: model %d is null", i)
+		}
+		if err := m.validate(); err != nil {
+			return fmt.Errorf("core: node %d (%v): %w", int(m.Target), m.Mode, err)
+		}
+	}
+	return nil
+}
+
 // SaveJSON writes the machine model as indented JSON.
 func (mm *MachineModel) SaveJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
@@ -102,22 +106,4 @@ func (mm *MachineModel) SaveJSON(w io.Writer) error {
 		return fmt.Errorf("core: encoding machine model: %w", err)
 	}
 	return nil
-}
-
-// LoadMachineJSON reads a machine model written by SaveJSON and validates
-// every contained model.
-func LoadMachineJSON(r io.Reader) (*MachineModel, error) {
-	var mm MachineModel
-	if err := json.NewDecoder(r).Decode(&mm); err != nil {
-		return nil, fmt.Errorf("core: decoding machine model: %w", err)
-	}
-	if len(mm.Models) == 0 {
-		return nil, fmt.Errorf("core: machine model has no models")
-	}
-	for _, m := range mm.Models {
-		if err := m.validate(); err != nil {
-			return nil, fmt.Errorf("core: node %d (%v): %w", int(m.Target), m.Mode, err)
-		}
-	}
-	return &mm, nil
 }

@@ -17,25 +17,6 @@ func (m *Model) SaveJSON(w io.Writer) error {
 	return nil
 }
 
-// LoadJSON reads a model written by SaveJSON and validates its structure.
-func LoadJSON(r io.Reader) (*Model, error) {
-	var m Model
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&m); err != nil {
-		return nil, fmt.Errorf("core: decoding model: %w", err)
-	}
-	if err := m.validate(); err != nil {
-		return nil, err
-	}
-	return &m, nil
-}
-
-// Validate checks the structural invariants of a model — every sampled
-// node classified exactly once, positive bandwidths, consistent class
-// stats. Deserializers call it automatically; services accepting models
-// over the wire should call it on anything user-supplied.
-func (m *Model) Validate() error { return m.validate() }
-
 // validate checks structural invariants of a deserialized model.
 func (m *Model) validate() error {
 	if len(m.Samples) == 0 {

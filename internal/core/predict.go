@@ -122,35 +122,3 @@ func RelativeError(predicted, measured units.Bandwidth) float64 {
 	}
 	return math.Abs(float64(predicted-measured)) / math.Abs(float64(measured))
 }
-
-// EquivalentClasses returns the ranks of classes whose averages are within
-// tol (relative) of each other, starting from the best class — the sets a
-// scheduler may treat as interchangeable (Sec. V-B: classes 1 and 2 of the
-// RDMA_WRITE model have "almost identical performance").
-func (m *Model) EquivalentClasses(tol float64) [][]int {
-	var groups [][]int
-	for _, c := range m.Classes {
-		placed := false
-		for gi, g := range groups {
-			ref := m.classByRank(g[0]).Avg
-			if ref > 0 && math.Abs(float64(c.Avg-ref))/float64(ref) <= tol {
-				groups[gi] = append(groups[gi], c.Rank)
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			groups = append(groups, []int{c.Rank})
-		}
-	}
-	return groups
-}
-
-func (m *Model) classByRank(rank int) Class {
-	for _, c := range m.Classes {
-		if c.Rank == rank {
-			return c
-		}
-	}
-	return Class{}
-}

@@ -27,8 +27,9 @@ func ExampleSolver() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for i := 0; i < alloc.NumFlows(); i++ {
-		fmt.Printf("%s: %.0f Gb/s\n", alloc.FlowID(i), alloc.Rate(i).Gbps())
+	// Flows are addressed by their AddFlow index.
+	for i, id := range []string{"capped", "greedy"} {
+		fmt.Printf("%s: %.0f Gb/s\n", id, alloc.Rate(i).Gbps())
 	}
 	// Output:
 	// capped: 5 Gb/s

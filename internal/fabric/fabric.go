@@ -113,11 +113,6 @@ type Flow struct {
 	Usages []Usage
 }
 
-// unbounded reports whether the flow has no demand cap.
-func (f Flow) unbounded() bool {
-	return f.Demand <= 0 || math.IsInf(float64(f.Demand), 1)
-}
-
 // indexedUsage is a Usage resolved to a resource index, so the solve loops
 // run on slices instead of maps.
 type indexedUsage struct {
@@ -204,15 +199,6 @@ func (s *Solver) SetResource(r Resource) error {
 		s.rank[ri] = int32(k)
 	}
 	return nil
-}
-
-// Resource returns a registered resource.
-func (s *Solver) Resource(id ResourceID) (Resource, bool) {
-	i, ok := s.resIndex[id]
-	if !ok {
-		return Resource{}, false
-	}
-	return s.resList[i], true
 }
 
 // spareUsages returns a zero-length usage slice for the next registered
@@ -321,9 +307,6 @@ func (s *Solver) RemoveFlowsAt(idx []int32) {
 	s.flows = s.flows[:w]
 }
 
-// NumFlows returns the number of registered flows.
-func (s *Solver) NumFlows() int { return len(s.flows) }
-
 const eps = 1e-9
 
 // Allocation is the result of Solve: rates, bottlenecks and utilization
@@ -333,7 +316,6 @@ const eps = 1e-9
 // change on the solver.
 type Allocation struct {
 	s *Solver
-	n int
 }
 
 // Solve computes the weighted max-min fair allocation.
@@ -341,14 +323,8 @@ func (s *Solver) Solve() (Allocation, error) {
 	if err := s.timedSolve(); err != nil {
 		return Allocation{}, err
 	}
-	return Allocation{s: s, n: len(s.flows)}, nil
+	return Allocation{s: s}, nil
 }
-
-// NumFlows returns the number of allocated flows.
-func (a Allocation) NumFlows() int { return a.n }
-
-// FlowID returns the string ID of flow index i.
-func (a Allocation) FlowID(i int) string { return a.s.flows[i].id }
 
 // Rate returns the allocated rate of flow index i.
 func (a Allocation) Rate(i int) units.Bandwidth {

@@ -25,6 +25,17 @@ func mustAddFlow(t *testing.T, s *Solver, f Flow) {
 	}
 }
 
+// unbounded reports whether the flow has no demand cap.
+func (f Flow) unbounded() bool {
+	return f.Demand <= 0 || math.IsInf(float64(f.Demand), 1)
+}
+
+// numFlows and flowID read the solver's flow table behind an allocation;
+// programs address flows by their AddFlow index instead.
+func (a Allocation) numFlows() int { return len(a.s.flows) }
+
+func (a Allocation) flowID(i int) string { return a.s.flows[i].id }
+
 func TestSingleFlowGetsBottleneck(t *testing.T) {
 	s := NewSolver()
 	mustSetResource(t, s, Resource{ID: "a", Capacity: 40 * units.Gbps})
@@ -151,11 +162,11 @@ func TestSolverErrors(t *testing.T) {
 		t.Error("zero weight should be rejected")
 	}
 	mustAddFlow(t, s, Flow{ID: "f", Usages: []Usage{{Resource: "a", Weight: 1}}})
-	if s.NumFlows() != 1 {
-		t.Errorf("NumFlows = %d, want 1", s.NumFlows())
+	if len(s.flows) != 1 {
+		t.Errorf("flows = %d, want 1", len(s.flows))
 	}
-	if _, ok := s.Resource("a"); !ok {
-		t.Error("Resource lookup failed")
+	if _, ok := s.resIndex["a"]; !ok {
+		t.Error("resource a is not registered")
 	}
 }
 
@@ -186,8 +197,8 @@ func TestEmptySolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.NumFlows() != 0 {
-		t.Errorf("empty allocation has %d flows", a.NumFlows())
+	if a.numFlows() != 0 {
+		t.Errorf("empty allocation has %d flows", a.numFlows())
 	}
 	if agg, err := AggregateRate(nil, nil); err != nil || agg != 0 {
 		t.Errorf("empty AggregateRate = %v, %v; want 0, nil", agg, err)

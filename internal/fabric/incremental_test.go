@@ -24,21 +24,21 @@ func assertSameAllocation(t *testing.T, label string, inc, fresh *Solver) {
 	if err != nil {
 		t.Fatalf("%s: fresh solve: %v", label, err)
 	}
-	if ia.NumFlows() != fa.NumFlows() {
-		t.Fatalf("%s: flow count %d != %d", label, ia.NumFlows(), fa.NumFlows())
+	if ia.numFlows() != fa.numFlows() {
+		t.Fatalf("%s: flow count %d != %d", label, ia.numFlows(), fa.numFlows())
 	}
-	for i := 0; i < ia.NumFlows(); i++ {
-		if ia.FlowID(i) != fa.FlowID(i) {
-			t.Fatalf("%s: flow %d ID %q != %q", label, i, ia.FlowID(i), fa.FlowID(i))
+	for i := 0; i < ia.numFlows(); i++ {
+		if ia.flowID(i) != fa.flowID(i) {
+			t.Fatalf("%s: flow %d ID %q != %q", label, i, ia.flowID(i), fa.flowID(i))
 		}
 		ir, fr := float64(ia.Rate(i)), float64(fa.Rate(i))
 		if math.Float64bits(ir) != math.Float64bits(fr) {
 			t.Fatalf("%s: flow %q rate %v (bits %x) != fresh %v (bits %x)",
-				label, ia.FlowID(i), ir, math.Float64bits(ir), fr, math.Float64bits(fr))
+				label, ia.flowID(i), ir, math.Float64bits(ir), fr, math.Float64bits(fr))
 		}
 		if ia.Bottleneck(i) != fa.Bottleneck(i) {
 			t.Fatalf("%s: flow %q bottleneck %q != fresh %q",
-				label, ia.FlowID(i), ia.Bottleneck(i), fa.Bottleneck(i))
+				label, ia.flowID(i), ia.Bottleneck(i), fa.Bottleneck(i))
 		}
 	}
 	if ia.NumResources() != fa.NumResources() {

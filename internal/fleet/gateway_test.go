@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"numaio/internal/cli"
@@ -20,11 +21,35 @@ const predictBody = `{"machine": "intel-4s4n", "config": {"repeats": 1, "sigma":
                       "target": 0, "mode": "write", "mix": {"0": 0.5, "2": 0.5}}`
 
 // testFleet boots n real in-process numaiod replicas named r0..r(n-1) and
-// a gateway over them.
+// a gateway over them. ring is built from the same member set as the
+// gateway's, so it names the same owners.
 type testFleet struct {
 	gw       *Gateway
+	ring     *Ring
 	services map[string]*service.Server
 	servers  map[string]*httptest.Server
+	hits     map[string]*hitCounter
+}
+
+// hitCounter counts the requests that reach one replica, per URL path.
+type hitCounter struct {
+	mu sync.Mutex
+	n  map[string]int64
+}
+
+func (c *hitCounter) wrap(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		c.mu.Lock()
+		c.n[r.URL.Path]++
+		c.mu.Unlock()
+		h.ServeHTTP(w, r)
+	})
+}
+
+func (c *hitCounter) count(path string) int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.n[path]
 }
 
 func newTestFleet(t *testing.T, n int, mutate func(*Config)) *testFleet {
@@ -32,15 +57,18 @@ func newTestFleet(t *testing.T, n int, mutate func(*Config)) *testFleet {
 	tf := &testFleet{
 		services: make(map[string]*service.Server, n),
 		servers:  make(map[string]*httptest.Server, n),
+		hits:     make(map[string]*hitCounter, n),
 	}
 	cfg := &Config{VNodes: 32}
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("r%d", i)
 		svc := service.New(service.Config{Workers: 2})
-		ts := httptest.NewServer(svc.Handler())
+		hits := &hitCounter{n: make(map[string]int64)}
+		ts := httptest.NewServer(hits.wrap(svc.Handler()))
 		t.Cleanup(ts.Close)
 		tf.services[name] = svc
 		tf.servers[name] = ts
+		tf.hits[name] = hits
 		cfg.Replicas = append(cfg.Replicas, Replica{Name: name, URL: ts.URL})
 	}
 	if mutate != nil {
@@ -51,8 +79,18 @@ func newTestFleet(t *testing.T, n int, mutate func(*Config)) *testFleet {
 		t.Fatal(err)
 	}
 	tf.gw = gw
+	names := make([]string, len(cfg.Replicas))
+	for i, r := range cfg.Replicas {
+		names[i] = r.Name
+	}
+	if tf.ring, err = NewRing(names, cfg.VNodes); err != nil {
+		t.Fatal(err)
+	}
 	return tf
 }
+
+// owner names the replica owning fingerprint fp.
+func (tf *testFleet) owner(fp string) string { return tf.ring.Owners(fp, 1)[0] }
 
 // do sends one request through the gateway handler.
 func (tf *testFleet) do(t *testing.T, method, path, body string, header http.Header) *httptest.ResponseRecorder {
@@ -87,18 +125,18 @@ func fingerprintOf(t *testing.T, machine string) string {
 // the machine's fingerprint, and counts as routed, not proxied.
 func TestGatewayRoutesToOwner(t *testing.T) {
 	tf := newTestFleet(t, 3, nil)
-	owner := tf.gw.Ring().Owner(fingerprintOf(t, "intel-4s4n"))
+	owner := tf.owner(fingerprintOf(t, "intel-4s4n"))
 
 	rec := tf.do(t, http.MethodPost, "/v1/predict", predictBody, nil)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("predict = %d: %s", rec.Code, rec.Body)
 	}
-	for name, svc := range tf.services {
+	for name, hits := range tf.hits {
 		want := int64(0)
 		if name == owner {
 			want = 1
 		}
-		if got := svc.RequestCount("/v1/predict"); got != want {
+		if got := hits.count("/v1/predict"); got != want {
 			t.Errorf("replica %s saw %d predicts, want %d (owner %s)", name, got, want, owner)
 		}
 	}
@@ -111,7 +149,7 @@ func TestGatewayRoutesToOwner(t *testing.T) {
 // ring successor — degraded but serving — and counts as proxied.
 func TestGatewayFailoverProxies(t *testing.T) {
 	tf := newTestFleet(t, 3, nil)
-	owner := tf.gw.Ring().Owner(fingerprintOf(t, "intel-4s4n"))
+	owner := tf.owner(fingerprintOf(t, "intel-4s4n"))
 	tf.servers[owner].Close()
 
 	rec := tf.do(t, http.MethodPost, "/v1/predict", predictBody, nil)
@@ -125,8 +163,8 @@ func TestGatewayFailoverProxies(t *testing.T) {
 		t.Error("no forward error recorded for the dead owner")
 	}
 	// The successor, not some arbitrary replica, absorbed the key.
-	successor := tf.gw.Ring().Owners(fingerprintOf(t, "intel-4s4n"), 2)[1]
-	if got := tf.services[successor].RequestCount("/v1/predict"); got != 1 {
+	successor := tf.ring.Owners(fingerprintOf(t, "intel-4s4n"), 2)[1]
+	if got := tf.hits[successor].count("/v1/predict"); got != 1 {
 		t.Errorf("ring successor %s saw %d predicts, want 1", successor, got)
 	}
 }
@@ -191,8 +229,8 @@ func TestGatewayHotReplication(t *testing.T) {
 		cfg.HotThreshold = 2
 	})
 	fp := fingerprintOf(t, "intel-4s4n")
-	owner := tf.gw.Ring().Owner(fp)
-	peer := tf.gw.Ring().Owners(fp, 2)[1]
+	owner := tf.owner(fp)
+	peer := tf.ring.Owners(fp, 2)[1]
 
 	// First request: below threshold, no replication yet.
 	if rec := tf.do(t, http.MethodPost, "/v1/predict", predictBody, nil); rec.Code != http.StatusOK {
@@ -407,8 +445,8 @@ func TestGatewayBodyTooLarge(t *testing.T) {
 			t.Errorf("metrics missing %q:\n%s", want, text)
 		}
 	}
-	for name, svc := range tf.services {
-		if n := svc.RequestCount("/v1/predict") + svc.RequestCount("/v1/predict/batch") + svc.RequestCount("/v1/place"); n != 0 {
+	for name, hits := range tf.hits {
+		if n := hits.count("/v1/predict") + hits.count("/v1/predict/batch") + hits.count("/v1/place"); n != 0 {
 			t.Errorf("replica %s saw %d requests for oversized bodies", name, n)
 		}
 	}

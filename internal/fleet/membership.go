@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -12,6 +11,7 @@ import (
 	"time"
 
 	"numaio/internal/resilience"
+	"numaio/internal/telemetry"
 )
 
 // Replica is one numaiod instance of the fleet.
@@ -40,12 +40,16 @@ type Config struct {
 	HotThreshold int `json:"hot_threshold,omitempty"`
 }
 
-// ParseConfig decodes and validates a fleet config.
+// ParseConfig decodes and validates a fleet config. It decodes as
+// strictly as a request body: unknown fields and data after the object
+// are errors.
 func ParseConfig(r io.Reader) (*Config, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: reading config: %w", err)
+	}
 	var cfg Config
-	if err := dec.Decode(&cfg); err != nil {
+	if err := telemetry.Decode(data, &cfg); err != nil {
 		return nil, fmt.Errorf("fleet: invalid config: %w", err)
 	}
 	if len(cfg.Replicas) == 0 {
@@ -61,10 +65,10 @@ func ParseConfig(r io.Reader) (*Config, error) {
 			return nil, fmt.Errorf("fleet: duplicate replica name %q", rep.Name)
 		}
 		seen[rep.Name] = true
+		rep.URL = strings.TrimRight(rep.URL, "/")
 		if rep.URL == "" {
 			return nil, fmt.Errorf("fleet: replica %q has no url", rep.Name)
 		}
-		rep.URL = strings.TrimRight(rep.URL, "/")
 	}
 	return &cfg, nil
 }

@@ -32,12 +32,39 @@ func TestParseConfig(t *testing.T) {
 		`{"replicas": [{"name": "a", "url": ""}]}`,
 		`{"replicas": [{"name": "a", "url": "http://a:1"}, {"name": "a", "url": "http://b:2"}]}`,
 		`{"replicas": [{"name": "a", "url": "http://a:1"}], "surprise": true}`,
+		`{"replicas": [{"name": "a", "url": "/"}]}`,
+		`{"replicas": [{"name": "a", "url": "http://a:1"}]} {}`,
 		`not json`,
 	} {
 		if _, err := ParseConfig(strings.NewReader(bad)); err == nil {
 			t.Errorf("config %s accepted", bad)
 		}
 	}
+}
+
+// FuzzParseConfig: ParseConfig never panics, and every config it accepts
+// has at least one replica, each with a unique name and a non-empty URL.
+func FuzzParseConfig(f *testing.F) {
+	f.Add(`{"replicas": [{"name": "a", "url": "http://a:1/"}, {"name": "b", "url": "http://b:2"}], "vnodes": 32}`)
+	f.Fuzz(func(t *testing.T, data string) {
+		cfg, err := ParseConfig(strings.NewReader(data))
+		if err != nil {
+			return
+		}
+		if len(cfg.Replicas) == 0 {
+			t.Fatalf("%q: accepted with no replicas", data)
+		}
+		seen := make(map[string]bool, len(cfg.Replicas))
+		for _, r := range cfg.Replicas {
+			if r.Name == "" || seen[r.Name] {
+				t.Fatalf("%q: replica name %q is empty or repeated", data, r.Name)
+			}
+			seen[r.Name] = true
+			if r.URL == "" {
+				t.Fatalf("%q: replica %q accepted with an empty URL", data, r.Name)
+			}
+		}
+	})
 }
 
 // TestMembershipHealthCheck: a live replica stays available, a dead one is

@@ -46,7 +46,7 @@ func TestGatewayTracePropagation(t *testing.T) {
 	if !strings.Contains(gwDump.Body.String(), parent.TraceID) {
 		t.Errorf("gateway flight recorder lacks trace ID %s:\n%s", parent.TraceID, gwDump.Body)
 	}
-	owner := tf.gw.Ring().Owner(fingerprintOf(t, "intel-4s4n"))
+	owner := tf.owner(fingerprintOf(t, "intel-4s4n"))
 	var replicaDump bytes.Buffer
 	if err := tf.services[owner].DumpFlightRecorder(&replicaDump); err != nil {
 		t.Fatal(err)
@@ -86,7 +86,7 @@ func TestGatewayServerTiming(t *testing.T) {
 // failures reach the breaker threshold (default 3), a breaker_open event.
 func TestGatewayFailoverFlightEvents(t *testing.T) {
 	tf := newTestFleet(t, 3, nil)
-	owner := tf.gw.Ring().Owner(fingerprintOf(t, "intel-4s4n"))
+	owner := tf.owner(fingerprintOf(t, "intel-4s4n"))
 	tf.servers[owner].Close()
 
 	for i := 0; i < 3; i++ {

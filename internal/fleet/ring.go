@@ -130,11 +130,6 @@ func (r *Ring) search(key string) int {
 	return i
 }
 
-// Owner returns the member owning key.
-func (r *Ring) Owner(key string) string {
-	return r.points[r.search(key)].member
-}
-
 // Owners returns up to n distinct members for key in ring-walk order: the
 // owner first, then the successors a replication factor of n would use.
 // n > Len() is clamped, so Owners(key, Len()) is every member ordered by

@@ -28,8 +28,8 @@ func TestRingDeterministicOwnership(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range keys(1000) {
-		if a.Owner(k) != b.Owner(k) {
-			t.Fatalf("key %s: owner %s vs %s under reordered construction", k, a.Owner(k), b.Owner(k))
+		if a.Owners(k, 1)[0] != b.Owners(k, 1)[0] {
+			t.Fatalf("key %s: owner %s vs %s under reordered construction", k, a.Owners(k, 1)[0], b.Owners(k, 1)[0])
 		}
 	}
 }
@@ -45,7 +45,7 @@ func TestRingOwnershipGolden(t *testing.T) {
 	}
 	got := map[string]string{}
 	for _, k := range []string{"alpha", "bravo", "charlie", "delta"} {
-		got[k] = r.Owner(k)
+		got[k] = r.Owners(k, 1)[0]
 	}
 	want := map[string]string{"alpha": "r1", "bravo": "r1", "charlie": "r2", "delta": "r1"}
 	for k, w := range want {
@@ -73,7 +73,7 @@ func TestRingBoundedMovement(t *testing.T) {
 	ks := keys(4000)
 	moved := 0
 	for _, k := range ks {
-		was, is := before.Owner(k), after.Owner(k)
+		was, is := before.Owners(k, 1)[0], after.Owners(k, 1)[0]
 		if was == is {
 			continue
 		}
@@ -101,7 +101,7 @@ func TestRingBalance(t *testing.T) {
 	counts := map[string]int{}
 	ks := keys(4000)
 	for _, k := range ks {
-		counts[r.Owner(k)]++
+		counts[r.Owners(k, 1)[0]]++
 	}
 	fair := len(ks) / len(members)
 	for _, m := range members {
@@ -120,8 +120,8 @@ func TestRingOwners(t *testing.T) {
 	}
 	for _, k := range keys(200) {
 		owners := r.Owners(k, 2)
-		if len(owners) != 2 || owners[0] != r.Owner(k) || owners[0] == owners[1] {
-			t.Fatalf("Owners(%s, 2) = %v (owner %s)", k, owners, r.Owner(k))
+		if len(owners) != 2 || owners[0] != r.Owners(k, 1)[0] || owners[0] == owners[1] {
+			t.Fatalf("Owners(%s, 2) = %v (owner %s)", k, owners, r.Owners(k, 1)[0])
 		}
 		all := r.Owners(k, 99)
 		if len(all) != 3 {

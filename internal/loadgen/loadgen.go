@@ -16,8 +16,8 @@ import (
 )
 
 // Config shapes one load run. Exactly what "one request" means is the
-// caller's Do closure, keeping the driver protocol-agnostic (cmd/numaioload
-// wires in HTTP posts; tests use stubs).
+// caller's DoTagged closure, keeping the driver protocol-agnostic
+// (cmd/numaioload wires in HTTP posts; tests use stubs).
 type Config struct {
 	// Concurrency is the number of closed-loop workers; <= 0 means 1.
 	Concurrency int
@@ -27,18 +27,12 @@ type Config struct {
 	// Duration caps the wall time; <= 0 means no cap (Requests alone stops
 	// the run). At least one cap must be set.
 	Duration time.Duration
-	// Do issues one request and reports its failure. Must be safe for
-	// concurrent use.
-	Do func() error
-	// DoTagged, when set, is used instead of Do: each call receives a
-	// generated request ID unique within the run, and the driver remembers
-	// the ID as the latency bucket's exemplar — Result.SlowExemplars names
-	// concrete requests from the slowest decile. Must be safe for
-	// concurrent use.
+	// DoTagged issues one request and reports its failure. Each call
+	// receives a generated request ID ("load-1", "load-2", ...) unique
+	// within the run, and the driver remembers the ID as the latency
+	// bucket's exemplar, so Result.SlowExemplars names concrete requests
+	// from the slowest decile. Must be safe for concurrent use.
 	DoTagged func(id string) error
-	// IDPrefix prefixes the generated request IDs for DoTagged runs; empty
-	// means "load-".
-	IDPrefix string
 }
 
 // Result is the merged outcome of a load run.
@@ -52,20 +46,17 @@ type Result struct {
 	P50, P95, P99 time.Duration
 	Max           time.Duration
 	// Hist is the merged latency histogram for further quantiles.
-	Hist *Histogram
+	Hist *telemetry.Histogram
 	// SlowExemplars names concrete request IDs from the slowest-decile
-	// latency buckets, fastest-first. Only populated for DoTagged runs.
-	SlowExemplars []Exemplar
+	// latency buckets, fastest-first.
+	SlowExemplars []telemetry.Exemplar
 }
 
-// Exemplar links a latency bucket back to a concrete request ID.
-type Exemplar = telemetry.Exemplar
-
-// Run drives Do from Concurrency workers until a cap is hit and merges the
-// per-worker latency histograms.
+// Run drives DoTagged from Concurrency workers until a cap is hit and
+// merges the per-worker latency histograms.
 func Run(cfg Config) (*Result, error) {
-	if cfg.Do == nil && cfg.DoTagged == nil {
-		return nil, fmt.Errorf("loadgen: Do or DoTagged is required")
+	if cfg.DoTagged == nil {
+		return nil, fmt.Errorf("loadgen: DoTagged is required")
 	}
 	if cfg.Requests <= 0 && cfg.Duration <= 0 {
 		return nil, fmt.Errorf("loadgen: either Requests or Duration must be set")
@@ -88,14 +79,10 @@ func Run(cfg Config) (*Result, error) {
 		defer stopTimer.Stop()
 	}
 
-	idPrefix := cfg.IDPrefix
-	if idPrefix == "" {
-		idPrefix = "load-"
-	}
-	var seq atomic.Int64 // shared request-ID sequence for DoTagged runs
+	var seq atomic.Int64 // shared request-ID sequence
 
 	type workerState struct {
-		hist   *Histogram
+		hist   *telemetry.Histogram
 		errors int64
 	}
 	states := make([]workerState, workers)
@@ -105,7 +92,7 @@ func Run(cfg Config) (*Result, error) {
 		wg.Add(1)
 		go func(st *workerState) {
 			defer wg.Done()
-			st.hist = NewHistogram()
+			st.hist = telemetry.NewHistogram()
 			for {
 				select {
 				case <-deadline:
@@ -115,16 +102,10 @@ func Run(cfg Config) (*Result, error) {
 				if quota.Add(-1) < 0 {
 					return
 				}
-				var err error
+				id := "load-" + strconv.FormatInt(seq.Add(1), 10)
 				t0 := time.Now()
-				if cfg.DoTagged != nil {
-					id := idPrefix + strconv.FormatInt(seq.Add(1), 10)
-					err = cfg.DoTagged(id)
-					st.hist.RecordExemplar(time.Since(t0), id)
-				} else {
-					err = cfg.Do()
-					st.hist.Record(time.Since(t0))
-				}
+				err := cfg.DoTagged(id)
+				st.hist.RecordExemplar(time.Since(t0), id)
 				if err != nil {
 					st.errors++
 				}
@@ -134,7 +115,7 @@ func Run(cfg Config) (*Result, error) {
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	merged := NewHistogram()
+	merged := telemetry.NewHistogram()
 	res := &Result{Duration: elapsed, Hist: merged}
 	for i := range states {
 		merged.Merge(states[i].hist)
@@ -148,8 +129,6 @@ func Run(cfg Config) (*Result, error) {
 	res.P95 = merged.Quantile(0.95)
 	res.P99 = merged.Quantile(0.99)
 	res.Max = merged.Max()
-	if cfg.DoTagged != nil {
-		res.SlowExemplars = merged.ExemplarsAbove(0.90)
-	}
+	res.SlowExemplars = merged.ExemplarsAbove(0.90)
 	return res, nil
 }

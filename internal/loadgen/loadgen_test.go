@@ -19,7 +19,7 @@ func TestRunRequestCap(t *testing.T) {
 	res, err := Run(Config{
 		Concurrency: 4,
 		Requests:    100,
-		Do: func() error {
+		DoTagged: func(string) error {
 			if calls.Add(1)%10 == 0 {
 				fails.Add(1)
 				return errors.New("boom")
@@ -46,7 +46,7 @@ func TestRunDurationCap(t *testing.T) {
 	res, err := Run(Config{
 		Concurrency: 2,
 		Duration:    50 * time.Millisecond,
-		Do: func() error {
+		DoTagged: func(string) error {
 			time.Sleep(time.Millisecond)
 			return nil
 		},
@@ -64,9 +64,9 @@ func TestRunDurationCap(t *testing.T) {
 
 func TestRunConfigValidation(t *testing.T) {
 	if _, err := Run(Config{Requests: 1}); err == nil {
-		t.Error("nil Do should fail")
+		t.Error("nil DoTagged should fail")
 	}
-	if _, err := Run(Config{Do: func() error { return nil }}); err == nil {
+	if _, err := Run(Config{DoTagged: func(string) error { return nil }}); err == nil {
 		t.Error("no cap should fail")
 	}
 }
@@ -80,7 +80,6 @@ func TestRunTagged(t *testing.T) {
 	res, err := Run(Config{
 		Concurrency: 4,
 		Requests:    80,
-		IDPrefix:    "tag-",
 		DoTagged: func(id string) error {
 			mu.Lock()
 			dup := seen[id]
@@ -89,8 +88,8 @@ func TestRunTagged(t *testing.T) {
 			if dup {
 				t.Errorf("request ID %q issued twice", id)
 			}
-			if !strings.HasPrefix(id, "tag-") {
-				t.Errorf("request ID %q lacks the configured prefix", id)
+			if !strings.HasPrefix(id, "load-") {
+				t.Errorf("request ID %q lacks the load- prefix", id)
 			}
 			// Every ~10th request is slow, so the slowest decile is
 			// populated and its exemplars point at real IDs.

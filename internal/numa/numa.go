@@ -1,8 +1,8 @@
 // Package numa is a libnuma-style user API over the simulated host: tasks
-// pin themselves to nodes, set memory policies and allocate buffers exactly
-// as a libnuma client would (Sec. II-B of the paper). It is the layer the
-// benchmarks (stream, fio) and the characterization tool (core) program
-// against.
+// pin themselves to nodes and allocate buffers bound to a node or
+// interleaved, as a libnuma client would (Sec. II-B of the paper). It is
+// the layer the benchmarks (stream, fio) and the characterization tool
+// (core) program against.
 package numa
 
 import (
@@ -20,8 +20,8 @@ type System struct {
 }
 
 // NewSystem boots a system on the given machine.
-func NewSystem(m *topology.Machine, opts ...simhost.Option) (*System, error) {
-	h, err := simhost.NewHost(m, opts...)
+func NewSystem(m *topology.Machine) (*System, error) {
+	h, err := simhost.NewHost(m)
 	if err != nil {
 		return nil, err
 	}
@@ -34,39 +34,6 @@ func (s *System) Host() *simhost.Host { return s.host }
 // Machine exposes the underlying machine topology.
 func (s *System) Machine() *topology.Machine { return s.host.M }
 
-// NumConfiguredNodes mirrors numa_num_configured_nodes().
-func (s *System) NumConfiguredNodes() int { return s.host.M.NumNodes() }
-
-// NumConfiguredCores mirrors numa_num_configured_cpus().
-func (s *System) NumConfiguredCores() int {
-	total := 0
-	for _, n := range s.host.M.Nodes {
-		total += n.Cores
-	}
-	return total
-}
-
-// CoresPerNode returns the core count of one node.
-func (s *System) CoresPerNode(n topology.NodeID) (int, error) {
-	node, ok := s.host.M.Node(n)
-	if !ok {
-		return 0, fmt.Errorf("numa: unknown node %d", int(n))
-	}
-	return node.Cores, nil
-}
-
-// Distance mirrors numa_distance(): the SLIT entry for (a, b).
-func (s *System) Distance(a, b topology.NodeID) (int, error) {
-	if a == b {
-		return 10, nil
-	}
-	h, err := s.host.M.HopDistance(a, b)
-	if err != nil {
-		return 0, err
-	}
-	return 10 + 10*h, nil
-}
-
 // Hardware mirrors "numactl --hardware".
 func (s *System) Hardware() string { return s.host.Hardware() }
 
@@ -76,33 +43,25 @@ func (s *System) FreeMem(n topology.NodeID) units.Size { return s.host.FreeMem(n
 // Stats returns the numastat counters of a node.
 func (s *System) Stats(n topology.NodeID) simhost.NodeStats { return s.host.Stats(n) }
 
-// Task is a schedulable entity with a CPU binding and a memory policy,
-// mirroring a process under numactl control.
+// Task is a schedulable entity with a CPU binding, mirroring a process
+// under numactl control.
 type Task struct {
 	sys  *System
 	name string
 
-	mu          sync.Mutex
-	node        topology.NodeID
-	bound       bool
-	policy      simhost.Policy
-	prefNode    topology.NodeID
-	interleaved []topology.NodeID
+	mu   sync.Mutex
+	node topology.NodeID
 }
 
-// NewTask creates an unbound task (default policy: local-preferred,
-// initially running on the lowest node, like a freshly forked process).
+// NewTask creates an unbound task, initially running on the lowest node
+// like a freshly forked process.
 func (s *System) NewTask(name string) *Task {
 	return &Task{
-		sys:    s,
-		name:   name,
-		node:   s.host.M.NodeIDs()[0],
-		policy: simhost.PolicyLocalPreferred,
+		sys:  s,
+		name: name,
+		node: s.host.M.NodeIDs()[0],
 	}
 }
-
-// Name returns the task's name.
-func (t *Task) Name() string { return t.name }
 
 // RunOn pins the task's CPU affinity to a node (numactl --cpunodebind).
 func (t *Task) RunOn(n topology.NodeID) error {
@@ -110,7 +69,7 @@ func (t *Task) RunOn(n topology.NodeID) error {
 		return fmt.Errorf("numa: task %q: unknown node %d", t.name, int(n))
 	}
 	t.mu.Lock()
-	t.node, t.bound = n, true
+	t.node = n
 	t.mu.Unlock()
 	return nil
 }
@@ -122,79 +81,11 @@ func (t *Task) Node() topology.NodeID {
 	return t.node
 }
 
-// Bound reports whether the task was explicitly pinned.
-func (t *Task) Bound() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.bound
-}
-
-// SetMemPolicy sets the task's allocation policy. For PolicyBind and
-// PolicyPreferred exactly one node must be given; for PolicyInterleave any
-// number (none means all nodes); PolicyLocalPreferred takes none.
-func (t *Task) SetMemPolicy(p simhost.Policy, nodes ...topology.NodeID) error {
-	for _, n := range nodes {
-		if _, ok := t.sys.host.M.Node(n); !ok {
-			return fmt.Errorf("numa: task %q: unknown node %d", t.name, int(n))
-		}
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	switch p {
-	case simhost.PolicyBind, simhost.PolicyPreferred:
-		if len(nodes) != 1 {
-			return fmt.Errorf("numa: policy %v needs exactly one node", p)
-		}
-		t.policy, t.prefNode = p, nodes[0]
-	case simhost.PolicyLocalPreferred:
-		if len(nodes) != 0 {
-			return fmt.Errorf("numa: policy %v takes no nodes", p)
-		}
-		t.policy = p
-	case simhost.PolicyInterleave:
-		t.policy = p
-		t.interleaved = append([]topology.NodeID(nil), nodes...)
-	default:
-		return fmt.Errorf("numa: unknown policy %v", p)
-	}
-	return nil
-}
-
-// Policy returns the task's current memory policy.
-func (t *Task) Policy() simhost.Policy {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.policy
-}
-
-// Alloc allocates a buffer under the task's current policy
-// (numa_alloc / malloc under numactl).
-func (t *Task) Alloc(size units.Size) (*simhost.Buffer, error) {
-	t.mu.Lock()
-	req := simhost.AllocRequest{
-		Size:            size,
-		Policy:          t.policy,
-		Target:          t.prefNode,
-		TaskNode:        t.node,
-		InterleaveNodes: append([]topology.NodeID(nil), t.interleaved...),
-	}
-	t.mu.Unlock()
-	return t.sys.host.Alloc(req)
-}
-
 // AllocOnNode allocates strictly on the given node
 // (numa_alloc_onnode with a bind policy).
 func (t *Task) AllocOnNode(size units.Size, n topology.NodeID) (*simhost.Buffer, error) {
 	return t.sys.host.Alloc(simhost.AllocRequest{
 		Size: size, Policy: simhost.PolicyBind, Target: n, TaskNode: t.Node(),
-	})
-}
-
-// AllocLocal allocates on the task's current node, falling back if full
-// (numa_alloc_local).
-func (t *Task) AllocLocal(size units.Size) (*simhost.Buffer, error) {
-	return t.sys.host.Alloc(simhost.AllocRequest{
-		Size: size, Policy: simhost.PolicyLocalPreferred, TaskNode: t.Node(),
 	})
 }
 
@@ -208,31 +99,3 @@ func (t *Task) AllocInterleaved(size units.Size) (*simhost.Buffer, error) {
 
 // Free releases a buffer (numa_free).
 func (t *Task) Free(b *simhost.Buffer) error { return t.sys.host.Free(b) }
-
-// CoreNode maps a global core index (as printed by Hardware) to its node.
-func (s *System) CoreNode(core int) (topology.NodeID, error) {
-	if core < 0 {
-		return 0, fmt.Errorf("numa: negative core %d", core)
-	}
-	next := 0
-	for _, id := range s.host.M.NodeIDs() {
-		n := s.host.M.MustNode(id)
-		if core < next+n.Cores {
-			return id, nil
-		}
-		next += n.Cores
-	}
-	return 0, fmt.Errorf("numa: core %d out of range (%d cores)", core, next)
-}
-
-// RunOnCore pins the task via a physical core index (numactl
-// --physcpubind). Cores of a node perform identically for memory and I/O
-// bandwidth (Sec. IV-A), so core pinning collapses to pinning on the
-// owning node.
-func (t *Task) RunOnCore(core int) error {
-	node, err := t.sys.CoreNode(core)
-	if err != nil {
-		return fmt.Errorf("numa: task %q: %w", t.name, err)
-	}
-	return t.RunOn(node)
-}

@@ -1,7 +1,6 @@
 package numa
 
 import (
-	"slices"
 	"strings"
 	"testing"
 
@@ -25,39 +24,6 @@ func TestNewSystemValidates(t *testing.T) {
 	}
 }
 
-func TestSystemCounts(t *testing.T) {
-	s := newSys(t)
-	if got := s.NumConfiguredNodes(); got != 8 {
-		t.Errorf("NumConfiguredNodes = %d, want 8", got)
-	}
-	if got := s.NumConfiguredCores(); got != 32 {
-		t.Errorf("NumConfiguredCores = %d, want 32", got)
-	}
-	c, err := s.CoresPerNode(3)
-	if err != nil || c != 4 {
-		t.Errorf("CoresPerNode(3) = %d, %v", c, err)
-	}
-	if _, err := s.CoresPerNode(42); err == nil {
-		t.Error("unknown node should error")
-	}
-}
-
-func TestDistance(t *testing.T) {
-	s := newSys(t)
-	if d, err := s.Distance(7, 7); err != nil || d != 10 {
-		t.Errorf("Distance(7,7) = %d, %v", d, err)
-	}
-	if d, err := s.Distance(7, 6); err != nil || d != 20 {
-		t.Errorf("Distance(7,6) = %d, %v", d, err)
-	}
-	if d, err := s.Distance(7, 1); err != nil || d != 30 {
-		t.Errorf("Distance(7,1) = %d, %v", d, err)
-	}
-	if _, err := s.Distance(7, 42); err == nil {
-		t.Error("unknown node should error")
-	}
-}
-
 func TestHardwarePassthrough(t *testing.T) {
 	s := newSys(t)
 	if !strings.Contains(s.Hardware(), "available: 8 nodes") {
@@ -74,74 +40,17 @@ func TestHardwarePassthrough(t *testing.T) {
 func TestTaskPinning(t *testing.T) {
 	s := newSys(t)
 	task := s.NewTask("worker")
-	if task.Name() != "worker" {
-		t.Error("task name")
-	}
-	if task.Bound() {
-		t.Error("fresh task should be unbound")
-	}
 	if task.Node() != 0 {
 		t.Errorf("fresh task node = %d, want 0", task.Node())
 	}
 	if err := task.RunOn(5); err != nil {
 		t.Fatal(err)
 	}
-	if !task.Bound() || task.Node() != 5 {
-		t.Errorf("after RunOn(5): bound=%v node=%d", task.Bound(), task.Node())
+	if task.Node() != 5 {
+		t.Errorf("after RunOn(5): node=%d", task.Node())
 	}
 	if err := task.RunOn(99); err == nil {
 		t.Error("RunOn unknown node should fail")
-	}
-}
-
-func TestTaskPolicies(t *testing.T) {
-	s := newSys(t)
-	task := s.NewTask("t")
-	if task.Policy() != simhost.PolicyLocalPreferred {
-		t.Error("default policy should be local-preferred")
-	}
-	if err := task.SetMemPolicy(simhost.PolicyBind, 3); err != nil {
-		t.Fatal(err)
-	}
-	if task.Policy() != simhost.PolicyBind {
-		t.Error("policy not applied")
-	}
-	b, err := task.Alloc(units.GiB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.HomeNode() != 3 {
-		t.Errorf("bind alloc on %d, want 3", b.HomeNode())
-	}
-	if err := task.Free(b); err != nil {
-		t.Fatal(err)
-	}
-
-	// Policy argument validation.
-	if err := task.SetMemPolicy(simhost.PolicyBind); err == nil {
-		t.Error("bind without node should fail")
-	}
-	if err := task.SetMemPolicy(simhost.PolicyBind, 1, 2); err == nil {
-		t.Error("bind with two nodes should fail")
-	}
-	if err := task.SetMemPolicy(simhost.PolicyLocalPreferred, 1); err == nil {
-		t.Error("local-preferred with node should fail")
-	}
-	if err := task.SetMemPolicy(simhost.PolicyBind, 99); err == nil {
-		t.Error("unknown node should fail")
-	}
-	if err := task.SetMemPolicy(simhost.Policy(42)); err == nil {
-		t.Error("unknown policy should fail")
-	}
-	if err := task.SetMemPolicy(simhost.PolicyInterleave, 1, 2); err != nil {
-		t.Errorf("interleave subset should work: %v", err)
-	}
-	b, err = task.Alloc(2 * units.GiB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(b.Pages, []simhost.Share{{Node: 1, Size: units.GiB}, {Node: 2, Size: units.GiB}}) {
-		t.Errorf("interleaved pages = %+v", b.Pages)
 	}
 }
 
@@ -152,12 +61,12 @@ func TestTaskAllocHelpers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	b, err := task.AllocLocal(units.GiB)
+	b, err := task.AllocOnNode(units.GiB, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if b.HomeNode() != 6 {
-		t.Errorf("AllocLocal landed on %d, want 6", b.HomeNode())
+		t.Errorf("AllocOnNode landed on %d, want 6", b.HomeNode())
 	}
 
 	b2, err := task.AllocOnNode(units.GiB, 2)
@@ -194,7 +103,9 @@ func TestLocalPreferredStatsFlow(t *testing.T) {
 	if err := task.RunOn(2); err != nil {
 		t.Fatal(err)
 	}
-	b, err := task.Alloc(512 * units.MiB)
+	b, err := s.Host().Alloc(simhost.AllocRequest{
+		Size: 512 * units.MiB, Policy: simhost.PolicyLocalPreferred, TaskNode: task.Node(),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +132,7 @@ func TestConcurrentAllocations(t *testing.T) {
 				return
 			}
 			for i := 0; i < 50; i++ {
-				b, err := task.AllocLocal(units.MiB)
+				b, err := task.AllocOnNode(units.MiB, task.Node())
 				if err != nil {
 					done <- err
 					return
@@ -243,36 +154,5 @@ func TestConcurrentAllocations(t *testing.T) {
 		if got := s.FreeMem(n); got != 4*units.GiB {
 			t.Errorf("node %d free = %v after concurrent churn", n, got)
 		}
-	}
-}
-
-func TestCoreNodeMapping(t *testing.T) {
-	s := newSys(t)
-	cases := map[int]topology.NodeID{0: 0, 3: 0, 4: 1, 31: 7, 28: 7, 12: 3}
-	for core, want := range cases {
-		got, err := s.CoreNode(core)
-		if err != nil || got != want {
-			t.Errorf("CoreNode(%d) = %d, %v; want %d", core, got, err, want)
-		}
-	}
-	if _, err := s.CoreNode(-1); err == nil {
-		t.Error("negative core should fail")
-	}
-	if _, err := s.CoreNode(32); err == nil {
-		t.Error("out-of-range core should fail")
-	}
-}
-
-func TestRunOnCore(t *testing.T) {
-	s := newSys(t)
-	task := s.NewTask("pin")
-	if err := task.RunOnCore(30); err != nil {
-		t.Fatal(err)
-	}
-	if task.Node() != 7 {
-		t.Errorf("core 30 should pin to node 7, got %d", task.Node())
-	}
-	if err := task.RunOnCore(99); err == nil {
-		t.Error("bad core should fail")
 	}
 }

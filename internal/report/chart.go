@@ -11,8 +11,6 @@ import (
 // the paper's bar figures (Figs. 4, 10). Bars scale to the largest value;
 // each row shows the label, the bar and the numeric value in Gb/s.
 type BarChart struct {
-	Title  string
-	Width  int // bar width in characters; 0 means 40
 	Labels []string
 	Values []units.Bandwidth
 }
@@ -32,10 +30,7 @@ func (b *BarChart) Render() (string, error) {
 	if len(b.Values) == 0 {
 		return "", fmt.Errorf("report: empty chart")
 	}
-	width := b.Width
-	if width <= 0 {
-		width = 40
-	}
+	const width = 40 // bar width in characters
 	var max units.Bandwidth
 	labelW := 0
 	for i, v := range b.Values {
@@ -50,9 +45,6 @@ func (b *BarChart) Render() (string, error) {
 		}
 	}
 	var out strings.Builder
-	if b.Title != "" {
-		fmt.Fprintf(&out, "%s\n", b.Title)
-	}
 	for i, v := range b.Values {
 		n := 0
 		if max > 0 {

@@ -85,7 +85,6 @@ func TestSeriesTable(t *testing.T) {
 
 func TestBarChart(t *testing.T) {
 	var c BarChart
-	c.Title = "Fig. 10"
 	c.Add("node7", 53*units.Gbps)
 	c.Add("node2", 26.5*units.Gbps)
 	c.Add("tiny", 0.01*units.Gbps)
@@ -93,14 +92,14 @@ func TestBarChart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "Fig. 10") || !strings.Contains(out, "53.00") {
+	if !strings.Contains(out, "53.00") {
 		t.Errorf("chart missing content:\n%s", out)
 	}
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	// Largest value fills the bar; the smaller one is shorter but nonzero.
-	full := strings.Count(lines[1], "#")
-	half := strings.Count(lines[2], "#")
-	tiny := strings.Count(lines[3], "#")
+	full := strings.Count(lines[0], "#")
+	half := strings.Count(lines[1], "#")
+	tiny := strings.Count(lines[2], "#")
 	if full != 40 {
 		t.Errorf("max bar = %d chars, want 40", full)
 	}
@@ -123,7 +122,7 @@ func TestBarChart(t *testing.T) {
 	if _, err := neg.Render(); err == nil {
 		t.Error("negative value should fail")
 	}
-	zero := BarChart{Labels: []string{"a"}, Values: []units.Bandwidth{0}, Width: 10}
+	zero := BarChart{Labels: []string{"a"}, Values: []units.Bandwidth{0}}
 	out, err = zero.Render()
 	if err != nil || strings.Count(out, "#") != 0 {
 		t.Errorf("all-zero chart should render empty bars: %q, %v", out, err)

@@ -128,7 +128,7 @@ func IsTransient(err error) bool {
 }
 
 // RetryPolicy is a deterministic exponential backoff: attempt n (0-based)
-// waits Base * Multiplier^n, capped at Cap. No jitter — chaos runs must
+// waits Base * 2^n, capped at 64 * Base. No jitter — chaos runs must
 // reproduce.
 type RetryPolicy struct {
 	// MaxRetries is the number of retry attempts after the first try; 0
@@ -136,37 +136,20 @@ type RetryPolicy struct {
 	MaxRetries int
 	// Base is the delay before the first retry; 0 means no waiting.
 	Base time.Duration
-	// Cap bounds the grown delay; 0 means 64 * Base.
-	Cap time.Duration
-	// Multiplier is the per-attempt growth factor; values < 1 mean 2.
-	Multiplier float64
 }
 
 // Delay returns the backoff before retry attempt (0-based: the delay after
 // the first failure is Delay(0)).
 func (p RetryPolicy) Delay(attempt int) time.Duration {
-	if p.Base <= 0 {
+	switch {
+	case p.Base <= 0:
 		return 0
+	case attempt <= 0:
+		return p.Base
+	case attempt >= 6:
+		return 64 * p.Base
 	}
-	mult := p.Multiplier
-	if mult < 1 {
-		mult = 2
-	}
-	limit := p.Cap
-	if limit <= 0 {
-		limit = 64 * p.Base
-	}
-	d := float64(p.Base)
-	for i := 0; i < attempt; i++ {
-		d *= mult
-		if d >= float64(limit) {
-			return limit
-		}
-	}
-	if d > float64(limit) {
-		return limit
-	}
-	return time.Duration(d)
+	return p.Base << attempt
 }
 
 // Retry runs fn until it succeeds, returns a non-transient error, or

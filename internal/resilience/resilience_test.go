@@ -20,9 +20,7 @@ func TestRetryPolicyDelay(t *testing.T) {
 		{"first retry waits base", RetryPolicy{Base: time.Millisecond}, 0, time.Millisecond},
 		{"doubles by default", RetryPolicy{Base: time.Millisecond}, 1, 2 * time.Millisecond},
 		{"third attempt quadruples", RetryPolicy{Base: time.Millisecond}, 2, 4 * time.Millisecond},
-		{"capped at Cap", RetryPolicy{Base: time.Millisecond, Cap: 3 * time.Millisecond}, 5, 3 * time.Millisecond},
 		{"default cap is 64x base", RetryPolicy{Base: time.Millisecond}, 20, 64 * time.Millisecond},
-		{"custom multiplier", RetryPolicy{Base: time.Millisecond, Multiplier: 10, Cap: time.Second}, 2, 100 * time.Millisecond},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -122,10 +122,10 @@ func TestRunnerRepeatsOverride(t *testing.T) {
       "config": {"repeats": 3},
       "target": 3,`, 1)
 	s := mustParse(t, j)
-	if got, pinned := s.Cases[0].Repeats(); got != 3 || !pinned {
+	if got, pinned := s.Cases[0].repeats, s.Cases[0].repeatsPinned; got != 3 || !pinned {
 		t.Fatalf("case repeats = %d pinned %v, want 3 pinned", got, pinned)
 	}
-	if got, pinned := s.Cases[1].Repeats(); got != 2 || pinned {
+	if got, pinned := s.Cases[1].repeats, s.Cases[1].repeatsPinned; got != 2 || pinned {
 		t.Fatalf("case repeats = %d pinned %v, want 2 unpinned", got, pinned)
 	}
 	// Both override settings must still produce the same verdicts for this

@@ -98,15 +98,8 @@ type CaseConfig struct {
 // MachineModel returns the case's resolved machine (valid after LoadSuite).
 func (c *Case) MachineModel() *topology.Machine { return c.machine }
 
-// CoreMode returns the case's parsed mode (valid after LoadSuite).
-func (c *Case) CoreMode() core.Mode { return c.mode }
-
 // Plan returns the case's resolved fault plan, nil for clean cases.
 func (c *Case) Plan() *faults.Plan { return c.plan }
-
-// Repeats returns the case's effective repeat count (0 = engine default)
-// and whether the case pinned it explicitly.
-func (c *Case) Repeats() (int, bool) { return c.repeats, c.repeatsPinned }
 
 // LoadSuite reads and fully validates a suite file: every machine resolves,
 // every mode parses, every fault reference loads, every assertion is well

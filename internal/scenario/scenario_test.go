@@ -32,7 +32,7 @@ func TestParseSuiteValid(t *testing.T) {
 	if c.MachineModel() == nil || c.MachineModel().Name != "intel-4s-4n" {
 		t.Errorf("machine not resolved: %+v", c.MachineModel())
 	}
-	if got, pinned := c.Repeats(); got != 1 || pinned {
+	if got, pinned := c.repeats, c.repeatsPinned; got != 1 || pinned {
 		t.Errorf("repeats = %d pinned %v, want 1 from defaults (unpinned)", got, pinned)
 	}
 	if c.Plan() != nil {
@@ -46,7 +46,7 @@ func TestParseSuitePinnedRepeats(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParseSuite: %v", err)
 	}
-	if got, pinned := s.Cases[0].Repeats(); got != 4 || !pinned {
+	if got, pinned := s.Cases[0].repeats, s.Cases[0].repeatsPinned; got != 4 || !pinned {
 		t.Errorf("repeats = %d pinned %v, want 4 pinned", got, pinned)
 	}
 }

@@ -59,13 +59,6 @@ func NewModelCache(max int, ttl time.Duration) *ModelCache {
 	}
 }
 
-// Get returns the cached model for key, if present and unexpired.
-func (c *ModelCache) Get(key string) (*core.MachineModel, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.getLocked(key)
-}
-
 // getLocked reports expired entries as misses but retains them: an
 // expired model is the stale fallback the daemon serves (marked as such)
 // when recomputation fails. Capacity pressure still evicts stale entries

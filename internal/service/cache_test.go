@@ -14,6 +14,14 @@ func model(fp string) *core.MachineModel {
 	return &core.MachineModel{Machine: "m", Fingerprint: fp}
 }
 
+// lookup reads the cache as a hit would: unexpired entries only, each
+// read refreshing the entry's LRU position.
+func lookup(c *ModelCache, key string) (*core.MachineModel, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.getLocked(key)
+}
+
 func TestCacheTTLExpiry(t *testing.T) {
 	c := NewModelCache(4, time.Minute)
 	now := time.Unix(1000, 0)
@@ -34,10 +42,10 @@ func TestCacheTTLExpiry(t *testing.T) {
 		t.Error("second lookup within TTL missed")
 	}
 	now = now.Add(2 * time.Minute)
-	// The expired entry is a miss for Get, but is retained as the stale
+	// The expired entry is a miss for a lookup, but is retained as the stale
 	// fallback until recomputed or evicted by capacity pressure.
-	if _, ok := c.Get("k"); ok {
-		t.Error("Get returned an expired entry")
+	if _, ok := lookup(c, "k"); ok {
+		t.Error("lookup returned an expired entry")
 	}
 	if mm, ok := c.GetStale("k"); !ok || mm == nil {
 		t.Error("expired entry not retained for GetStale")
@@ -68,17 +76,17 @@ func TestCacheLRUEviction(t *testing.T) {
 	add("a")
 	add("b")
 	// Touch "a" so "b" is the LRU victim.
-	if _, ok := c.Get("a"); !ok {
+	if _, ok := lookup(c, "a"); !ok {
 		t.Fatal("a missing before eviction")
 	}
 	add("c")
 	if c.Len() != 2 {
 		t.Errorf("cache holds %d entries, want 2", c.Len())
 	}
-	if _, ok := c.Get("b"); ok {
+	if _, ok := lookup(c, "b"); ok {
 		t.Error("LRU entry b survived eviction")
 	}
-	if _, ok := c.Get("a"); !ok {
+	if _, ok := lookup(c, "a"); !ok {
 		t.Error("recently-used entry a was evicted")
 	}
 	if _, ok := c.FindByFingerprint("c"); !ok {

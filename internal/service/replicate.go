@@ -23,7 +23,9 @@ import (
 // never collide with locally computed (fingerprint|config) keys.
 func installKey(fp string) string { return "installed|" + fp }
 
-// installModel validates and caches a replicated model.
+// installModel validates and caches a replicated model. A model that
+// fails core's structural checks (a null entry, a duplicate sample, an
+// unclassified node) is refused, so Predict never reads a malformed one.
 func (s *Server) installModel(fp string, mm *core.MachineModel) error {
 	if fp == "" {
 		return fmt.Errorf("fingerprint is required")
@@ -34,8 +36,8 @@ func (s *Server) installModel(fp string, mm *core.MachineModel) error {
 	if mm.Fingerprint != fp {
 		return fmt.Errorf("model fingerprint %q does not match %q", mm.Fingerprint, fp)
 	}
-	if len(mm.Models) == 0 {
-		return fmt.Errorf("model has no per-target entries")
+	if err := mm.Validate(); err != nil {
+		return err
 	}
 	s.cache.Install(installKey(fp), mm)
 	s.installs.Inc()

@@ -97,6 +97,62 @@ func TestModelInstallPush(t *testing.T) {
 	}
 }
 
+// TestModelInstallValidates: a pushed or pulled model that fails core's
+// structural checks is refused (400 on PUT, 502 on pull) and never
+// cached, so no predict reads it; a characterized model installs.
+func TestModelInstallValidates(t *testing.T) {
+	var srcRuns, dstRuns atomic.Int64
+	src := newTestServer(t, &srcRuns)
+	dst := newTestServer(t, &dstRuns)
+	model, fp := characterizedModel(t, src)
+	predictFP := func(fp string) int {
+		t.Helper()
+		status, _ := postJSON(t, dst.URL+"/v1/predict",
+			fmt.Sprintf(`{"fingerprint": %q, "target": 0, "mode": "write", "mix": {"0": 1}}`, fp))
+		return status
+	}
+
+	if status, body := putJSON(t, dst.URL+"/v1/models/null-fp", `{"models": [null]}`); status != http.StatusBadRequest {
+		t.Errorf("null model install = %d: %s, want 400", status, body)
+	}
+	if status := predictFP("null-fp"); status != http.StatusNotFound {
+		t.Errorf("predict on a refused fingerprint = %d, want 404", status)
+	}
+
+	var mm core.MachineModel
+	if err := json.Unmarshal([]byte(model), &mm); err != nil {
+		t.Fatal(err)
+	}
+	first := mm.Models[0]
+	first.Samples = append(first.Samples, first.Samples[0])
+	dup, err := json.Marshal(&mm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status, body := putJSON(t, dst.URL+"/v1/models/"+fp, string(dup)); status != http.StatusBadRequest {
+		t.Errorf("duplicate-sample install = %d: %s, want 400", status, body)
+	}
+	if status := predictFP(fp); status != http.StatusNotFound {
+		t.Errorf("predict after a refused install = %d, want 404", status)
+	}
+
+	bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte(`{"models": [null]}`))
+	}))
+	defer bad.Close()
+	pull := fmt.Sprintf(`{"fingerprint": "null-fp", "source": %q}`, bad.URL)
+	if status, body := postJSON(t, dst.URL+"/v1/models/pull", pull); status != http.StatusBadGateway {
+		t.Errorf("pull of a null model = %d: %s, want 502", status, body)
+	}
+
+	if status, body := putJSON(t, dst.URL+"/v1/models/"+fp, model); status != http.StatusOK {
+		t.Errorf("characterized model install = %d: %s", status, body)
+	}
+	if status := predictFP(fp); status != http.StatusOK {
+		t.Errorf("predict on the installed model = %d, want 200", status)
+	}
+}
+
 // TestModelPull: POST /v1/models/pull fetches the model from the source
 // replica, is idempotent, and surfaces unreachable sources as 502.
 func TestModelPull(t *testing.T) {

@@ -303,10 +303,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Cache exposes the model cache (metrics, tests).
 func (s *Server) Cache() *ModelCache { return s.cache }
 
-// RequestCount returns the requests served on endpoint, over all statuses
-// (tests).
-func (s *Server) RequestCount(endpoint string) int64 { return s.pipe.Requests().Count(endpoint) }
-
 // Drain stops admitting async work and waits for in-flight jobs, honouring
 // ctx as the deadline. Call after http.Server.Shutdown during graceful
 // termination.

@@ -226,10 +226,11 @@ func TestMetricsAndRespCacheConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 
-	if got := requests.Count("/v1/predict"); got != workers*per {
+	if got := requests.Endpoint("/v1/predict").Value(200); got != workers*per {
 		t.Errorf("predict requests = %d, want %d", got, workers*per)
 	}
-	if got := requests.Count("/v1/place"); got != workers*per {
+	place := requests.Endpoint("/v1/place")
+	if got := place.Value(400) + place.Value(401); got != workers*per {
 		t.Errorf("place requests = %d, want %d", got, workers*per)
 	}
 	if got := stale.Value(); got != workers*per {

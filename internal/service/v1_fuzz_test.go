@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -41,9 +42,11 @@ func (failingTransport) RoundTrip(*http.Request) (*http.Response, error) {
 // /v1/predict/batch, /v1/whatif and /v1/models/pull, and PUT
 // /v1/models/{fingerprint}. The daemon runs no sweep, since its
 // characterizer returns a precomputed dl585g7 model, and makes no network
-// call, since its pull client fails every request. Every answer must be a
-// 2xx with a JSON body or the uniform {"error": ...} body, never a 500,
-// and a pull the daemon had to fetch is a 502.
+// call, since its pull client fails every request. After each 2xx PUT, a
+// batch predict on that fingerprint reads the installed model. Every
+// answer must be a 2xx with a JSON body or the uniform {"error": ...}
+// body, never a 500 or a panic, and a pull the daemon had to fetch is a
+// 502.
 func FuzzV1Bodies(f *testing.F) {
 	base, err := fuzzModel()
 	if err != nil {
@@ -68,6 +71,7 @@ func FuzzV1Bodies(f *testing.F) {
 		`{"fingerprint": "deadbeef", "source": "http://127.0.0.1:8081"}`,
 		`{"fingerprint": "` + base.Fingerprint + `", "source": "http://127.0.0.1:8081/"}`,
 		string(model),
+		`{"models": [null]}`,
 		`{"machine": "intel-4s4n"} {}`,
 		`{"machine": {"nodes": []}}`,
 		`[]`,
@@ -88,7 +92,28 @@ func FuzzV1Bodies(f *testing.F) {
 		},
 		PullClient: &http.Client{Transport: failingTransport{}},
 	})
+	predictInstalled := `{"fingerprint": "` + base.Fingerprint + `", "items": [{"target": 0, "mode": "write", "mix": {"0": 1}}]}`
 	f.Fuzz(func(t *testing.T, body string) {
+		check := func(method, path, body string) *httptest.ResponseRecorder {
+			rec := serve(s, method, path, body)
+			got := rec.Body.Bytes()
+			switch {
+			case rec.Code == http.StatusInternalServerError:
+				t.Fatalf("%s %s %q: 500 %s", method, path, body, got)
+			case rec.Code >= 200 && rec.Code < 300:
+				if !json.Valid(got) {
+					t.Fatalf("%s %s %q: %d with a body that is not JSON: %s", method, path, body, rec.Code, got)
+				}
+			default:
+				var e struct {
+					Error string `json:"error"`
+				}
+				if err := telemetry.Decode(got, &e); err != nil || e.Error == "" {
+					t.Fatalf("%s %s %q: %d without the uniform error body: %s", method, path, body, rec.Code, got)
+				}
+			}
+			return rec
+		}
 		for _, route := range []struct{ method, path string }{
 			{http.MethodPost, "/v1/characterize"},
 			{http.MethodPost, "/v1/predict/batch"},
@@ -96,22 +121,10 @@ func FuzzV1Bodies(f *testing.F) {
 			{http.MethodPost, "/v1/models/pull"},
 			{http.MethodPut, "/v1/models/" + base.Fingerprint},
 		} {
-			rec := serve(s, route.method, route.path, body)
+			rec := check(route.method, route.path, body)
 			got := rec.Body.Bytes()
-			switch {
-			case rec.Code == http.StatusInternalServerError:
-				t.Fatalf("%s %s %q: 500 %s", route.method, route.path, body, got)
-			case rec.Code >= 200 && rec.Code < 300:
-				if !json.Valid(got) {
-					t.Fatalf("%s %s %q: %d with a body that is not JSON: %s", route.method, route.path, body, rec.Code, got)
-				}
-			default:
-				var e struct {
-					Error string `json:"error"`
-				}
-				if err := telemetry.Decode(got, &e); err != nil || e.Error == "" {
-					t.Fatalf("%s %s %q: %d without the uniform error body: %s", route.method, route.path, body, rec.Code, got)
-				}
+			if route.method == http.MethodPut && rec.Code < 300 {
+				check(http.MethodPost, "/v1/predict/batch", predictInstalled)
 			}
 			if route.path == "/v1/models/pull" && rec.Code == http.StatusOK && strings.Contains(string(got), `"installed": true`) {
 				t.Fatalf("pull %q installed a model with no network: %s", body, got)

@@ -116,8 +116,8 @@ func TestRunFluidSingleTransferTimeline(t *testing.T) {
 	if !reflect.DeepEqual(p.Completed, []string{"only"}) {
 		t.Errorf("completed = %v, want [only]", p.Completed)
 	}
-	if got := p.Utilization.Get("l"); math.Abs(got-1) > 1e-9 {
-		t.Errorf("utilization = %v, want 1", got)
+	if u := p.Utilization; len(u) != 1 || u[0].Resource != "l" || math.Abs(u[0].Util-1) > 1e-9 {
+		t.Errorf("utilization = %+v, want l at 1", u)
 	}
 	if got := out.Transfers[0].InitialRate.Gbps(); math.Abs(got-8) > 1e-6 {
 		t.Errorf("initial rate = %v, want 8", got)

@@ -31,9 +31,6 @@ const (
 	// PolicyBind allocates strictly on the given node and fails when it
 	// is full.
 	PolicyBind
-	// PolicyPreferred allocates on the given node when possible, falling
-	// back like local-preferred.
-	PolicyPreferred
 	// PolicyInterleave spreads the allocation evenly across the given
 	// nodes (or all nodes when none are specified).
 	PolicyInterleave
@@ -45,8 +42,6 @@ func (p Policy) String() string {
 		return "local-preferred"
 	case PolicyBind:
 		return "bind"
-	case PolicyPreferred:
-		return "preferred"
 	case PolicyInterleave:
 		return "interleave"
 	default:
@@ -124,26 +119,10 @@ type Host struct {
 	bufPool []*Buffer
 }
 
-// Option configures a Host.
-type Option func(*hostConfig)
-
-type hostConfig struct {
-	osReservation units.Size
-}
-
-// WithOSReservation overrides the boot-time OS memory reserved on node 0.
-func WithOSReservation(s units.Size) Option {
-	return func(c *hostConfig) { c.osReservation = s }
-}
-
 // NewHost validates the machine and boots a host on it.
-func NewHost(m *topology.Machine, opts ...Option) (*Host, error) {
+func NewHost(m *topology.Machine) (*Host, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
-	}
-	cfg := hostConfig{osReservation: DefaultOSReservation}
-	for _, o := range opts {
-		o(&cfg)
 	}
 	ids := m.NodeIDs()
 	h := &Host{
@@ -156,7 +135,7 @@ func NewHost(m *topology.Machine, opts ...Option) (*Host, error) {
 		h.free[pos] = m.MustNode(id).Memory
 	}
 	// The OS boots on node 0 (or the lowest node).
-	res := cfg.osReservation
+	res := DefaultOSReservation
 	if res > h.free[0] {
 		res = h.free[0]
 	}
@@ -197,7 +176,7 @@ func (h *Host) Stats(n topology.NodeID) NodeStats {
 type AllocRequest struct {
 	Size   units.Size
 	Policy Policy
-	// Target is the bind/preferred node (ignored for local-preferred and
+	// Target is the bind node (ignored for local-preferred and
 	// interleave).
 	Target topology.NodeID
 	// TaskNode is the node the requesting task runs on.
@@ -222,8 +201,6 @@ func (h *Host) Alloc(req AllocRequest) (*Buffer, error) {
 	switch req.Policy {
 	case PolicyBind:
 		return h.allocOn(req.Target, req, task, true)
-	case PolicyPreferred:
-		return h.allocOn(req.Target, req, task, false)
 	case PolicyLocalPreferred:
 		return h.allocOn(req.TaskNode, req, task, false)
 	case PolicyInterleave:

@@ -12,9 +12,9 @@ import (
 	"numaio/internal/units"
 )
 
-func newTestHost(t *testing.T, opts ...Option) *Host {
+func newTestHost(t *testing.T) *Host {
 	t.Helper()
-	h, err := NewHost(topology.DL585G7(), opts...)
+	h, err := NewHost(topology.DL585G7())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,17 +39,15 @@ func TestOSReservationOnNode0(t *testing.T) {
 			t.Errorf("node %d free = %v, want 4GiB", n, got)
 		}
 	}
-}
-
-func TestWithOSReservation(t *testing.T) {
-	h := newTestHost(t, WithOSReservation(units.GiB))
-	if got := h.FreeMem(0); got != 3*units.GiB {
-		t.Errorf("node 0 free = %v, want 3GiB", got)
+	// A lowest node smaller than the reservation is left with none free.
+	small, err := NewHost(topology.New("small-node0", []topology.Node{
+		{ID: 0, Cores: 2, Memory: units.GiB, MemBandwidth: 10 * units.Gbps},
+	}))
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Oversized reservation clamps to the node's memory.
-	h2 := newTestHost(t, WithOSReservation(100*units.GiB))
-	if got := h2.FreeMem(0); got != 0 {
-		t.Errorf("node 0 free = %v, want 0", got)
+	if got := small.FreeMem(0); got != 0 {
+		t.Errorf("node 0 of 1GiB free = %v, want 0", got)
 	}
 }
 
@@ -81,7 +79,7 @@ func TestAllocPreferredFallback(t *testing.T) {
 	if _, err := h.Alloc(AllocRequest{Size: 4 * units.GiB, Policy: PolicyBind, Target: 2, TaskNode: 2}); err != nil {
 		t.Fatal(err)
 	}
-	b, err := h.Alloc(AllocRequest{Size: units.GiB, Policy: PolicyPreferred, Target: 2, TaskNode: 2})
+	b, err := h.Alloc(AllocRequest{Size: units.GiB, Policy: PolicyLocalPreferred, TaskNode: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +311,6 @@ func TestPolicyStrings(t *testing.T) {
 	for p, want := range map[Policy]string{
 		PolicyLocalPreferred: "local-preferred",
 		PolicyBind:           "bind",
-		PolicyPreferred:      "preferred",
 		PolicyInterleave:     "interleave",
 		Policy(9):            "Policy(9)",
 	} {
@@ -337,10 +334,14 @@ func TestSparseNodeIDs(t *testing.T) {
 	node := func(id topology.NodeID, pkg int) topology.Node {
 		return topology.Node{ID: id, Package: pkg, Cores: 2, Memory: 4 * units.GiB, MemBandwidth: 10 * units.Gbps}
 	}
-	m := topology.New("sparse-ids", []topology.Node{node(70000, 2), node(-2, 0), node(5, 1)})
+	// Node -2 boots with the OS reservation on top of the others' 4 GiB
+	// less one, so it has 3 GiB free.
+	lowest := node(-2, 0)
+	lowest.Memory = 3*units.GiB + DefaultOSReservation
+	m := topology.New("sparse-ids", []topology.Node{node(70000, 2), lowest, node(5, 1)})
 	m.AddDuplexLink("node-2", "node5", topology.LinkHT, 16, 10*units.Gbps, 0)
 	m.AddDuplexLink("node5", "node70000", topology.LinkHT, 16, 10*units.Gbps, 0)
-	h, err := NewHost(m, WithOSReservation(units.GiB))
+	h, err := NewHost(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +360,7 @@ func TestSparseNodeIDs(t *testing.T) {
 	// The OS reservation lands on the lowest node, -2 (3 GiB free).
 	bufs := []*Buffer{
 		alloc(AllocRequest{Size: 1, Policy: PolicyBind, Target: 70000, TaskNode: -2}, 70000),
-		alloc(AllocRequest{Size: 1, Policy: PolicyPreferred, Target: 5, TaskNode: 5}, 5),
+		alloc(AllocRequest{Size: 1, Policy: PolicyLocalPreferred, TaskNode: 5}, 5),
 		alloc(AllocRequest{Size: 2, Policy: PolicyLocalPreferred, TaskNode: -2}, -2),
 		// Node -2 has 1 GiB left: fall back to the emptiest node, where
 		// nodes 5 and 70000 tie at 3 GiB and the lower ID wins.

@@ -18,18 +18,8 @@ type TransferRate struct {
 // RateList holds the per-transfer allocations of a phase in ascending
 // transfer-ID order. It replaced a map so a fluid run can arena-allocate
 // every phase's entries in one block (RunFluid's allocation budget is
-// gated in CI); lists are per-phase small, so lookups scan.
+// gated in CI).
 type RateList []TransferRate
-
-// Get returns a transfer's rate (0 when inactive in the phase).
-func (rl RateList) Get(id string) units.Bandwidth {
-	for i := range rl {
-		if rl[i].ID == id {
-			return rl[i].Rate
-		}
-	}
-	return 0
-}
 
 // ResourceUtil is one resource's load fraction during a phase.
 type ResourceUtil struct {
@@ -41,16 +31,6 @@ type ResourceUtil struct {
 // loaded resources, in the solver's resource-index order. An absent
 // resource reads as 0 — which is also its utilization.
 type UtilList []ResourceUtil
-
-// Get returns a resource's utilization (0 when unloaded).
-func (ul UtilList) Get(r fabric.ResourceID) float64 {
-	for i := range ul {
-		if ul[i].Resource == r {
-			return ul[i].Util
-		}
-	}
-	return 0
-}
 
 // Phase is one constant-rate interval of a fluid run: the allocation is
 // fixed between transfer completions.
@@ -89,20 +69,6 @@ func (t *Timeline) Makespan() units.Duration {
 	return last.Start + last.Duration
 }
 
-// AvgUtilization returns a resource's time-weighted mean utilization.
-func (t *Timeline) AvgUtilization(r fabric.ResourceID) float64 {
-	var weighted, total float64
-	for i := range t.Phases {
-		p := &t.Phases[i]
-		weighted += p.Utilization.Get(r) * p.Duration.Seconds()
-		total += p.Duration.Seconds()
-	}
-	if total == 0 {
-		return 0
-	}
-	return weighted / total
-}
-
 // Bottlenecks returns the resources that are ~saturated (≥ thresh) in at
 // least one phase, sorted by ID.
 func (t *Timeline) Bottlenecks(thresh float64) []fabric.ResourceID {
@@ -120,14 +86,6 @@ func (t *Timeline) Bottlenecks(thresh float64) []fabric.ResourceID {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// RateOf returns a transfer's rate during phase i (0 if inactive).
-func (t *Timeline) RateOf(id string, i int) units.Bandwidth {
-	if i < 0 || i >= len(t.Phases) {
-		return 0
-	}
-	return t.Phases[i].Rates.Get(id)
 }
 
 // Summary renders a compact per-phase view: time span, aggregate rate,

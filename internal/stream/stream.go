@@ -156,9 +156,6 @@ func New(sys *numa.System, cfg Config) (*Runner, error) {
 	return &Runner{sys: sys, cfg: cfg}, nil
 }
 
-// Config returns the effective (defaulted) configuration.
-func (r *Runner) Config() Config { return r.cfg }
-
 // Measure runs the kernel with threads pinned to node cpu and all arrays
 // bound to node mem, returning the maximum bandwidth over the configured
 // runs. Arrays are really allocated (and freed) on the simulated host, so

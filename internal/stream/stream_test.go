@@ -24,7 +24,7 @@ func newRunner(t *testing.T, cfg Config) (*numa.System, *Runner) {
 
 func TestConfigDefaults(t *testing.T) {
 	_, r := newRunner(t, Config{})
-	cfg := r.Config()
+	cfg := r.cfg
 	if cfg.Runs != 100 {
 		t.Errorf("Runs = %d, want 100", cfg.Runs)
 	}

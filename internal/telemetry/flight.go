@@ -124,22 +124,6 @@ func (r *FlightRecorder) Record(ev FlightEvent) {
 	s.mu.Unlock()
 }
 
-// Cap returns the ring capacity.
-func (r *FlightRecorder) Cap() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.slots)
-}
-
-// Total returns the number of events ever recorded.
-func (r *FlightRecorder) Total() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.next.Load()
-}
-
 // Len returns the number of events currently retained.
 func (r *FlightRecorder) Len() int {
 	if r == nil {

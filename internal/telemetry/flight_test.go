@@ -49,8 +49,8 @@ func TestFlightRecorderWraparound(t *testing.T) {
 		if dropped != tc.wantDropped {
 			t.Errorf("%d records: dropped = %d, want %d", tc.records, dropped, tc.wantDropped)
 		}
-		if r.Total() != uint64(tc.records) {
-			t.Errorf("%d records: total = %d", tc.records, r.Total())
+		if total := uint64(len(events)) + dropped; total != uint64(tc.records) {
+			t.Errorf("%d records: total = %d", tc.records, total)
 		}
 		for i, e := range events {
 			if want := flightEvent(tc.wantFirst + i).Name; e.Name != want {
@@ -65,7 +65,7 @@ func TestFlightRecorderWraparound(t *testing.T) {
 func TestFlightRecorderNil(t *testing.T) {
 	var r *FlightRecorder
 	r.Record(flightEvent(0))
-	if r.Len() != 0 || r.Cap() != 0 || r.Total() != 0 {
+	if r.Len() != 0 {
 		t.Fatal("nil recorder reports non-zero sizes")
 	}
 	events, dropped := r.Snapshot()

@@ -143,14 +143,6 @@ func (h *Histogram) Count() int64 { return h.total }
 // Max returns the largest recorded observation.
 func (h *Histogram) Max() time.Duration { return time.Duration(h.max) }
 
-// Mean returns the arithmetic mean of the recorded observations.
-func (h *Histogram) Mean() time.Duration {
-	if h.total == 0 {
-		return 0
-	}
-	return time.Duration(h.sum / h.total)
-}
-
 // Quantile returns the latency at quantile q in [0, 1]: the upper edge of
 // the bucket containing the q-th observation, clamped to the recorded
 // maximum. Zero observations yield zero.

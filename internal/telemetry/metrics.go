@@ -134,16 +134,6 @@ func (c *EndpointCounter) Endpoint(endpoint string) *IntCounterVec {
 	return vec
 }
 
-// Count returns the requests counted for endpoint, over all statuses.
-func (c *EndpointCounter) Count(endpoint string) int64 {
-	vec := c.Endpoint(endpoint)
-	var total int64
-	for _, s := range vec.Keys() {
-		total += vec.Value(s)
-	}
-	return total
-}
-
 // BucketHistogram is a fixed-bounds histogram in the Prometheus style:
 // explicit upper bounds plus a +Inf overflow, an observation sum and a
 // total count, all updated atomically so Observe takes no lock.

@@ -35,7 +35,7 @@ func TestPipelineCountsBeforeHeadersLeave(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := p.Requests().Count("/v1/slow")
+	got := p.Requests().Endpoint("/v1/slow").Value(http.StatusOK)
 	unblock()
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()

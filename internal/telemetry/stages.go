@@ -61,17 +61,6 @@ func (s *Stages) Lap(name string, start time.Time) time.Time {
 	return now
 }
 
-// Observe runs fn and attributes its wall time to the named stage.
-func (s *Stages) Observe(name string, fn func()) {
-	if s == nil {
-		fn()
-		return
-	}
-	start := time.Now()
-	fn()
-	s.Add(name, time.Since(start))
-}
-
 // Len returns the number of distinct stages recorded.
 func (s *Stages) Len() int {
 	if s == nil {
@@ -80,21 +69,6 @@ func (s *Stages) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.n
-}
-
-// Get returns the accumulated duration for name (0 if absent).
-func (s *Stages) Get(name string) time.Duration {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i := 0; i < s.n; i++ {
-		if s.names[i] == name {
-			return s.durs[i]
-		}
-	}
-	return 0
 }
 
 // Header renders the breakdown as a Server-Timing header value —

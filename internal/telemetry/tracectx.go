@@ -30,14 +30,6 @@ func NewTraceContext() TraceContext {
 	return tc
 }
 
-// Child keeps the trace ID and mints a fresh span ID — the context a hop
-// attaches to its own span and forwards downstream, so the downstream
-// span's parent is this hop rather than this hop's caller.
-func (c TraceContext) Child() TraceContext {
-	tc, _ := mintTrace(c.TraceID)
-	return tc
-}
-
 // mintTrace mints a fresh span ID under traceID (under a fresh random
 // trace ID when traceID is empty) and returns the context together with
 // its TraceCtxHeader value. Both IDs are slices of that one string, so a

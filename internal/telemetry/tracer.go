@@ -36,12 +36,6 @@ func String(key, value string) Attr { return Attr{Key: key, Value: value} }
 // Int builds an integer attribute.
 func Int(key string, v int) Attr { return Attr{Key: key, Value: strconv.Itoa(v)} }
 
-// Float builds a float attribute (shortest round-trip formatting, so equal
-// values always render equal bytes).
-func Float(key string, v float64) Attr {
-	return Attr{Key: key, Value: strconv.FormatFloat(v, 'g', -1, 64)}
-}
-
 // Event is one recorded trace event. Phase follows the Chrome trace-event
 // format: 'X' complete span, 'i' instant, 'C' counter.
 type Event struct {
@@ -184,15 +178,6 @@ func (t *Tracer) append(e Event) {
 	t.mu.Lock()
 	t.events = append(t.events, e)
 	t.mu.Unlock()
-}
-
-// Epoch returns the wall-clock unix-nanosecond instant of the tracer's
-// construction, or 0 for fake-clock tracers.
-func (t *Tracer) Epoch() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.epoch
 }
 
 // Len returns the number of recorded events.

@@ -102,7 +102,7 @@ func TestTraceDeterministic(t *testing.T) {
 		tr := NewTracerFunc(StepClock(time.Microsecond))
 		for i := 0; i < 3; i++ {
 			sp := tr.StartSpan("outer", "a", Int("i", i))
-			in := sp.StartSpan("inner", "b", Float("f", 0.125))
+			in := sp.StartSpan("inner", "b", String("f", "0.125"))
 			in.End()
 			sp.End()
 		}

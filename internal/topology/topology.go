@@ -320,9 +320,6 @@ func (m *Machine) Vertex(id string) (Vertex, bool) {
 	return *v, true
 }
 
-// Vertices returns all vertex IDs in insertion order.
-func (m *Machine) Vertices() []string { return append([]string(nil), m.vorder...) }
-
 // Links returns a copy of all directed links.
 func (m *Machine) Links() []Link { return append([]Link(nil), m.links...) }
 

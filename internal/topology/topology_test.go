@@ -444,8 +444,8 @@ func TestNodeAccessors(t *testing.T) {
 	if m.NumLinks() == 0 || len(m.Links()) != m.NumLinks() {
 		t.Error("link accessors inconsistent")
 	}
-	if len(m.Vertices()) < 8+4 {
-		t.Errorf("expected at least 12 vertices, got %d", len(m.Vertices()))
+	if len(m.vorder) < 8+4 {
+		t.Errorf("expected at least 12 vertices, got %d", len(m.vorder))
 	}
 }
 

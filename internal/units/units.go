@@ -27,15 +27,6 @@ const (
 // Gbps reports the bandwidth in gigabits per second.
 func (b Bandwidth) Gbps() float64 { return float64(b) / 1e9 }
 
-// Mbps reports the bandwidth in megabits per second.
-func (b Bandwidth) Mbps() float64 { return float64(b) / 1e6 }
-
-// BytesPerSecond reports the bandwidth in bytes per second.
-func (b Bandwidth) BytesPerSecond() float64 { return float64(b) / 8 }
-
-// IsZero reports whether b is exactly zero.
-func (b Bandwidth) IsZero() bool { return b == 0 }
-
 // String formats the bandwidth with an auto-selected unit, e.g. "23.30Gb/s".
 func (b Bandwidth) String() string {
 	v := float64(b)
@@ -108,17 +99,8 @@ const (
 	TiB       = 1024 * GiB
 )
 
-// Bytes reports the size as an int64 byte count.
-func (s Size) Bytes() int64 { return int64(s) }
-
 // Bits reports the size in bits.
 func (s Size) Bits() float64 { return float64(s) * 8 }
-
-// MiBf reports the size in mebibytes as a float.
-func (s Size) MiBf() float64 { return float64(s) / float64(MiB) }
-
-// GiBf reports the size in gibibytes as a float.
-func (s Size) GiBf() float64 { return float64(s) / float64(GiB) }
 
 // String formats the size with an auto-selected binary unit, e.g. "128KiB".
 func (s Size) String() string {
@@ -188,12 +170,6 @@ type Duration float64
 // Seconds reports the duration in seconds.
 func (d Duration) Seconds() float64 { return float64(d) }
 
-// Milliseconds reports the duration in milliseconds.
-func (d Duration) Milliseconds() float64 { return float64(d) * 1e3 }
-
-// Microseconds reports the duration in microseconds.
-func (d Duration) Microseconds() float64 { return float64(d) * 1e6 }
-
 // String formats the duration with an auto-selected unit.
 func (d Duration) String() string {
 	v := float64(d)
@@ -214,15 +190,6 @@ func (d Duration) String() string {
 	default:
 		return fmt.Sprintf("%s%.3fns", neg, v*1e9)
 	}
-}
-
-// TransferTime reports how long moving size at rate bw takes.
-// A zero bandwidth yields +Inf.
-func TransferTime(size Size, bw Bandwidth) Duration {
-	if bw <= 0 {
-		return Duration(math.Inf(1))
-	}
-	return Duration(size.Bits() / float64(bw))
 }
 
 // Rate reports the bandwidth achieved moving size in d.
